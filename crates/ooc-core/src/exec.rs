@@ -5,7 +5,11 @@
 //! * **Functional** ([`run_functional`]): actually stages tiles
 //!   through `ooc-runtime` arrays and computes element values — used
 //!   at small sizes to prove transformed+tiled code equals the
-//!   reference interpreter bit for bit.
+//!   reference interpreter bit for bit. This is the *sync walk*; with
+//!   a durable session attached it also journals and checkpoints (see
+//!   [`crate::recovery`]). The repo's other tile walk, the `NestRun`
+//!   engine behind the pipelined and parallel executors, lives in
+//!   [`crate::pipeline`].
 //! * **Simulation** ([`simulate`]): no data moves; each tile step's
 //!   I/O calls/bytes (from the layouts' run accounting) and compute
 //!   flops become a `pfs-sim` workload, which the discrete-event
@@ -19,14 +23,15 @@
 //! polyhedron restricted to the tile); for the affine kernels of the
 //! paper every transformed nest is rectangular, making the walk exact.
 
+use crate::recovery::DurableSession;
 use crate::tiling::{
     access_classes, array_region, class_region, plan_spans, IoWeights, TiledProgram,
 };
 use ooc_ir::{ArrayId, Expr, GuardAt, LoopNest, Statement};
 use ooc_runtime::{
-    AccessRecord, InterleavedGroup, IoStats, LedgerEvent, LedgerRecorder, MeasuredIo, MemStore,
-    MemoryBudget, OocArray, ProfilingStore, Region, RuntimeConfig, Store, Tile, TouchTracker,
-    TracingStore, ELEM_BYTES,
+    AccessRecord, EvictDetail, InterleavedGroup, IoCause, IoStats, LedgerEvent, LedgerRecorder,
+    MeasuredIo, MemStore, MemoryBudget, OocArray, ProfilingStore, Region, RuntimeConfig,
+    SharedJournal, Store, Tile, TouchTracker, TracingStore, ELEM_BYTES,
 };
 use pfs_sim::{FileId, MachineConfig, Op, PfsSim, SimResult, Workload};
 use std::collections::BTreeMap;
@@ -669,18 +674,101 @@ pub fn profile_functional(
 /// final dump).
 ///
 /// # Errors
-/// Propagates store construction and seeding errors.
+/// Propagates store construction and seeding errors, and tile-staging
+/// I/O errors the configured retry policy cannot recover.
 ///
 /// # Panics
 /// Panics on internal inconsistencies (regions outside arrays etc.) —
-/// these indicate compiler bugs and must surface in tests — and on
-/// tile-staging I/O errors the configured retry policy cannot recover.
+/// these indicate compiler bugs and must surface in tests.
 pub fn run_functional_on<S: Store>(
     tp: &TiledProgram,
     params: &[i64],
     init: &dyn Fn(ArrayId, &[i64]) -> f64,
     cfg: &FunctionalConfig,
+    make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
+) -> io::Result<FunctionalRun> {
+    run_functional_inner(tp, params, init, cfg, make_store, None, "sync")
+}
+
+/// Builds every array over `make_store`, seeds it (unless a resumed
+/// durable session says seeding is already durable), resets metrics so
+/// only the compute phase is profiled, and registers the run with the
+/// ledger under `executor`. On a durable run it then rolls back the
+/// journal writes past the resume boundary and marks the run begun.
+pub(crate) fn setup_arrays<T: Store>(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &FunctionalConfig,
+    make_store: &mut dyn FnMut(usize, &str, u64) -> io::Result<T>,
+    dur: Option<&mut DurableSession>,
+    executor: &str,
+) -> io::Result<Vec<OocArray<T>>> {
+    let mut arrays = Vec::with_capacity(tp.program.arrays.len());
+    for (a, decl) in tp.program.arrays.iter().enumerate() {
+        let dims: Vec<i64> = decl.dims.iter().map(|d| d.resolve(params)).collect();
+        let len = u64::try_from(dims.iter().product::<i64>()).expect("positive size");
+        let store = make_store(a, &decl.name, len)?;
+        let mut arr = OocArray::new(&decl.name, &dims, tp.layouts[a].clone(), store, cfg.runtime);
+        if dur.as_ref().is_none_or(|d| !d.skip_seed) {
+            arr.initialize(|idx| init(ArrayId(a), idx))?;
+        }
+        arr.reset_all_metrics();
+        arrays.push(arr);
+    }
+    if let Some(rec) = &cfg.ledger {
+        rec.set_executor(executor);
+        for (a, arr) in arrays.iter().enumerate() {
+            rec.set_array(a as u32, arr.name());
+        }
+    }
+    if let Some(d) = dur {
+        let _replay = ooc_trace::enabled().then(|| ooc_trace::span("durable", "recovery-replay"));
+        d.rollback_now(&mut arrays, cfg.ledger.as_ref())?;
+        d.begin()?;
+    }
+    Ok(arrays)
+}
+
+/// The profile of one array over the compute phase, with `stats` as
+/// its analytic accounting.
+pub(crate) fn profile<T: Store>(arr: &OocArray<T>, stats: IoStats) -> ArrayProfile {
+    ArrayProfile {
+        name: arr.name().to_string(),
+        stats,
+        measured: arr.measured(),
+        accesses: arr.access_log(),
+    }
+}
+
+/// The final dump: every array's contents in canonical row-major
+/// order.
+pub(crate) fn dump_arrays<T: Store>(arrays: &mut [OocArray<T>]) -> io::Result<Vec<Vec<f64>>> {
+    arrays
+        .iter_mut()
+        .map(|arr| Ok(arr.read_tile(&Region::full(arr.dims()))?.data().to_vec()))
+        .collect()
+}
+
+/// The sync walk: the paper's residency model, exactly the walk
+/// [`build_workload`] prices. A staged tile stays resident while
+/// consecutive tile steps touch the same region; written tiles go back
+/// to disk when displaced and at every iteration barrier.
+///
+/// With a durable session the same walk also skips the nests and steps
+/// the resume boundary covers, writes back through the journal, and
+/// checkpoints every `checkpoint_rows` tile rows and at each iteration
+/// and nest end. Row accounting runs identically for skipped and
+/// executed steps, so a resumed run checkpoints at exactly the same
+/// `(nest, step)` points as an uninterrupted one.
+pub(crate) fn run_functional_inner<S: Store>(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &FunctionalConfig,
     mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
+    mut dur: Option<&mut DurableSession>,
+    executor: &str,
 ) -> io::Result<FunctionalRun> {
     let _span = ooc_trace::span_with(
         "runtime",
@@ -690,37 +778,38 @@ pub fn run_functional_on<S: Store>(
             ("arrays", (tp.program.arrays.len() as u64).into()),
         ],
     );
-    let mut arrays: Vec<OocArray<S>> = Vec::with_capacity(tp.program.arrays.len());
-    for (a, decl) in tp.program.arrays.iter().enumerate() {
-        let dims: Vec<i64> = decl.dims.iter().map(|d| d.resolve(params)).collect();
-        let len: i64 = dims.iter().product();
-        let store = make_store(a, &decl.name, u64::try_from(len).expect("positive size"))?;
-        let mut arr = OocArray::new(&decl.name, &dims, tp.layouts[a].clone(), store, cfg.runtime);
-        arr.initialize(|idx| init(ArrayId(a), idx))?;
-        // Profile the compute phase only.
-        arr.reset_all_metrics();
-        arrays.push(arr);
-    }
-
+    let arrays = setup_arrays(
+        tp,
+        params,
+        init,
+        cfg,
+        &mut make_store,
+        dur.as_deref_mut(),
+        executor,
+    )?;
     let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
     let budget = MemoryBudget::paper_fraction(total_elems, cfg.memory_fraction);
 
     // Provenance: the sync walk is one locality — a single tracker
-    // classifies first touches vs. re-reads across all nests, and a
-    // global step counter stamps each event's schedule position.
-    let ledger = cfg.ledger.clone();
-    if let Some(rec) = &ledger {
-        rec.set_executor("sync");
-        for (a, arr) in arrays.iter().enumerate() {
-            rec.set_array(a as u32, arr.name());
-        }
-    }
-    let mut tracker = TouchTracker::new();
-    let mut step: u64 = 0;
+    // classifies first touches vs. re-reads across all nests, and
+    // events carry the run-global step `base + g` (`base` = serial
+    // steps of all earlier nests, `g` = step within the nest).
+    let mut io = SyncIo {
+        arrays,
+        tracker: TouchTracker::new(),
+        ledger: cfg.ledger.as_ref(),
+        journal: dur.as_ref().map(|d| d.journal.clone()),
+    };
+    let mut base: u64 = 0;
 
     for (ni, tnest) in tp.nests.iter().enumerate() {
         let nest = &tnest.nest;
+        // Resume: nests the boundary covers are durable already.
+        let skip = dur.as_ref().is_some_and(|d| d.skip_nest(ni));
         let Some(ranges) = level_ranges(nest, params) else {
+            if let Some(d) = dur.as_deref_mut().filter(|_| !skip) {
+                d.checkpoint(ni + 1, 0)?;
+            }
             continue;
         };
         let spans = plan_spans(
@@ -734,172 +823,129 @@ pub fn run_functional_on<S: Store>(
             IoWeights::default(),
             cfg.runtime.max_call_elems,
         );
-        let (reads, writes) = rw_arrays(nest);
-        let touched: Vec<ArrayId> = {
-            let mut t = reads.clone();
-            for w in &writes {
-                if !t.contains(w) {
-                    t.push(*w);
-                }
-            }
-            t
+        let walk = |mut f: &mut dyn FnMut(&[i64], &[i64])| {
+            walk_tiles(&ranges, &tnest.tiled_levels, &spans, ranges[0], &mut f);
         };
+        if skip {
+            let mut n = 0u64;
+            walk(&mut |_, _| n += 1);
+            base += n * u64::from(nest.iterations);
+            continue;
+        }
         // Staging plan: one tile per (array, access class); written
         // arrays touched through several classes fall back to a single
         // hull tile so every read sees the freshest values.
-        let staging = Staging::for_nest(nest, &writes, &touched);
+        let staging = Staging::for_nest(nest);
         let bounds = nest.bounds.loop_bounds();
+        let start_g = dur.as_ref().map_or(0, |d| d.start_step(ni));
+        let mut g: u64 = 0;
+        let mut rows_done: u64 = 0;
 
         // Per-nest span; the per-tile spans below allocate names, so
         // they are built only when a trace session is live (the
         // disabled path stays a single atomic load per tile step).
         let _nest_span = ooc_trace::span("runtime", &format!("nest:{}", nest.name));
         for _ in 0..nest.iterations {
-            // Cached tiles (hoisting, mirroring the simulation): a tile
-            // stays resident while consecutive tile steps touch the same
-            // region; written tiles flush when evicted and at nest end.
             let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
-            walk_tiles(
-                &ranges,
-                &tnest.tiled_levels,
-                &spans,
-                ranges[0],
-                &mut |lo, hi| {
-                    let traced = ooc_trace::enabled();
-                    let _tile_span = traced.then(|| {
-                        ooc_trace::span_with(
-                            "runtime",
-                            &format!("tile:{}", nest.name),
-                            vec![
-                                ("lo", format!("{lo:?}").into()),
-                                ("hi", format!("{hi:?}").into()),
-                            ],
-                        )
-                    });
-                    for ((a, slot), region) in staging.regions(nest, lo, hi) {
-                        let region = region.clamped(arrays[a.0].dims());
-                        let key = (a, slot);
-                        let stale = tiles.get(&key).is_none_or(|t| t.region() != &region);
-                        if stale {
-                            if let Some(old) = tiles.remove(&key) {
-                                if staging.slot_written(a, slot) {
-                                    let _s = traced.then(|| {
-                                        ooc_trace::span(
-                                            "runtime",
-                                            &format!("write-tile:{}", arrays[a.0].name()),
-                                        )
-                                    });
-                                    arrays[a.0].write_tile(&old).expect("evict tile");
-                                    if let Some(rec) = &ledger {
-                                        let cause =
-                                            tracker.classify_write(a.0 as u32, old.region());
-                                        rec.record(LedgerEvent {
-                                            array: a.0 as u32,
-                                            cause,
-                                            calls: arrays[a.0].exact_tile_calls(old.region()),
-                                            elems: old.region().len() as u64,
-                                            region: old.region().clone(),
-                                            nest: ni as u32,
-                                            step,
-                                            evict: None,
-                                        });
-                                    }
-                                }
-                                // Displacement = eviction of the
-                                // staged copy, read or written.
-                                tracker.note_evicted(a.0 as u32, old.region(), step, None);
-                            }
-                            let _s = traced.then(|| {
-                                ooc_trace::span_with(
-                                    "runtime",
-                                    &format!("read-tile:{}", arrays[a.0].name()),
-                                    vec![("region", format!("{region:?}").into())],
-                                )
-                            });
-                            tiles.insert(key, arrays[a.0].read_tile(&region).expect("read tile"));
-                            if let Some(rec) = &ledger {
-                                let (cause, evict) = tracker.classify_read(a.0 as u32, &region);
-                                rec.record(LedgerEvent {
-                                    array: a.0 as u32,
-                                    cause,
-                                    calls: arrays[a.0].exact_tile_calls(&region),
-                                    elems: region.len() as u64,
-                                    region: region.clone(),
-                                    nest: ni as u32,
-                                    step,
-                                    evict,
-                                });
+            let mut last_row_lo: Option<i64> = None;
+            let mut step = |lo: &[i64], hi: &[i64]| -> io::Result<()> {
+                // Row accounting must precede the resume skip so that
+                // skipped steps count rows exactly like executed ones.
+                if last_row_lo != Some(lo[0]) {
+                    if last_row_lo.is_some() {
+                        rows_done += 1;
+                        if let Some(d) = dur.as_deref_mut() {
+                            let every = d.cfg.checkpoint_rows;
+                            if g > start_g && every > 0 && rows_done % every == 0 {
+                                io.flush(&mut tiles, &staging, ni, base + g)?;
+                                d.checkpoint(ni, g)?;
                             }
                         }
                     }
-                    // Element loops: every polyhedron point inside the box.
-                    let _compute_span = traced.then(|| ooc_trace::span("runtime", "compute"));
-                    let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
-                    exec_box(
-                        nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
-                    );
-                    step += 1;
-                },
-            );
-            // Flush written tiles.
-            for ((a, slot), tile) in tiles {
-                if staging.slot_written(a, slot) {
-                    let _s = ooc_trace::enabled().then(|| {
-                        ooc_trace::span("runtime", &format!("write-tile:{}", arrays[a.0].name()))
-                    });
-                    arrays[a.0].write_tile(&tile).expect("final flush");
-                    if let Some(rec) = &ledger {
-                        let cause = tracker.classify_write(a.0 as u32, tile.region());
-                        rec.record(LedgerEvent {
-                            array: a.0 as u32,
-                            cause,
-                            calls: arrays[a.0].exact_tile_calls(tile.region()),
-                            elems: tile.region().len() as u64,
-                            region: tile.region().clone(),
-                            nest: ni as u32,
-                            step,
-                            evict: None,
-                        });
+                    last_row_lo = Some(lo[0]);
+                }
+                if g < start_g {
+                    g += 1;
+                    if let Some(d) = dur.as_deref_mut() {
+                        d.report.skipped_steps += 1;
+                    }
+                    return Ok(());
+                }
+                let traced = ooc_trace::enabled();
+                let _tile_span = traced.then(|| {
+                    ooc_trace::span_with(
+                        "runtime",
+                        &format!("tile:{}", nest.name),
+                        vec![
+                            ("lo", format!("{lo:?}").into()),
+                            ("hi", format!("{hi:?}").into()),
+                        ],
+                    )
+                });
+                for ((a, slot), region) in staging.regions(nest, lo, hi) {
+                    let region = region.clamped(io.arrays[a.0].dims());
+                    let key = (a, slot);
+                    if tiles.get(&key).is_none_or(|t| t.region() != &region) {
+                        if let Some(old) = tiles.remove(&key) {
+                            io.retire(key, old, &staging, ni, base + g)?;
+                        }
+                        tiles.insert(key, io.read(a, &region, ni, base + g)?);
                     }
                 }
-                // The iteration barrier drops every staged tile.
-                tracker.note_evicted(a.0 as u32, tile.region(), step, None);
+                // Element loops: every polyhedron point inside the box.
+                let _compute_span = traced.then(|| ooc_trace::span("runtime", "compute"));
+                let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
+                exec_box(
+                    nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
+                );
+                if let Some(d) = dur.as_deref_mut() {
+                    d.report.executed_steps += 1;
+                }
+                g += 1;
+                Ok(())
+            };
+            let mut io_err = None;
+            walk(&mut |lo, hi| {
+                if io_err.is_none() {
+                    io_err = step(lo, hi).err();
+                }
+            });
+            if let Some(e) = io_err {
+                return Err(e);
             }
+            // The iteration barrier drops every staged tile.
+            io.flush(&mut tiles, &staging, ni, base + g)?;
+            if let Some(d) = dur.as_deref_mut().filter(|_| g > start_g) {
+                d.checkpoint(ni, g)?;
+            }
+        }
+        base += g;
+        if let Some(d) = dur.as_deref_mut() {
+            d.checkpoint(ni + 1, 0)?;
         }
     }
 
     // Capture profiles before the final dump so the dump's sequential
     // sweep does not pollute the compute-phase measurement.
-    let profiles: Vec<ArrayProfile> = arrays
+    let profiles = io
+        .arrays
         .iter()
-        .map(|arr| ArrayProfile {
-            name: arr.name().to_string(),
-            stats: arr.stats(),
-            measured: arr.measured(),
-            accesses: arr.access_log(),
-        })
+        .map(|arr| profile(arr, arr.stats()))
         .collect();
+    let run = FunctionalRun {
+        data: dump_arrays(&mut io.arrays)?,
+        profiles,
+    };
     // Correlate the analytic run accounting with store-level
     // measurement in the trace's counter track.
     if ooc_trace::enabled() {
-        let mut stats = IoStats::default();
-        for p in &profiles {
-            stats.merge(&p.stats);
-        }
+        let stats = run.total_stats();
         ooc_trace::counter(
             "analytic-io-calls",
             (stats.read_calls + stats.write_calls) as f64,
         );
         ooc_trace::counter("io-retries", stats.retries as f64);
-        let mut measured = MeasuredIo::default();
-        let mut any = false;
-        for p in &profiles {
-            if let Some(m) = &p.measured {
-                measured.merge(m);
-                any = true;
-            }
-        }
-        if any {
+        if let Some(measured) = run.total_measured() {
             ooc_trace::counter(
                 "measured-io-calls",
                 (measured.read_calls + measured.write_calls) as f64,
@@ -907,16 +953,121 @@ pub fn run_functional_on<S: Store>(
             ooc_trace::counter("io-faults", measured.failed_calls as f64);
         }
     }
+    Ok(run)
+}
 
-    // Dump canonical contents.
-    let data = arrays
-        .iter_mut()
-        .map(|arr| {
-            let region = Region::full(arr.dims());
-            arr.read_tile(&region).expect("final read").data().to_vec()
-        })
-        .collect();
-    Ok(FunctionalRun { data, profiles })
+/// The sync walk's I/O side: the arrays, the walk's touch tracker,
+/// and — on a durable run — the journal every write-back goes through.
+struct SyncIo<'a, S: Store> {
+    arrays: Vec<OocArray<S>>,
+    tracker: TouchTracker,
+    ledger: Option<&'a LedgerRecorder>,
+    journal: Option<SharedJournal>,
+}
+
+impl<S: Store> SyncIo<'_, S> {
+    fn record(
+        &self,
+        a: ArrayId,
+        cause: IoCause,
+        region: &Region,
+        nest: usize,
+        step: u64,
+        evict: Option<EvictDetail>,
+    ) {
+        if let Some(rec) = self.ledger {
+            rec.record(LedgerEvent {
+                array: a.0 as u32,
+                cause,
+                calls: self.arrays[a.0].exact_tile_calls(region),
+                elems: region.len() as u64,
+                region: region.clone(),
+                nest: nest as u32,
+                step,
+                evict,
+            });
+        }
+    }
+
+    /// Stages `region` of array `a`, classified first touch vs.
+    /// re-read.
+    fn read(&mut self, a: ArrayId, region: &Region, nest: usize, step: u64) -> io::Result<Tile> {
+        let _s = ooc_trace::enabled().then(|| {
+            ooc_trace::span_with(
+                "runtime",
+                &format!("read-tile:{}", self.arrays[a.0].name()),
+                vec![("region", format!("{region:?}").into())],
+            )
+        });
+        let tile = self.arrays[a.0].read_tile(region)?;
+        if self.ledger.is_some() {
+            let (cause, evict) = self.tracker.classify_read(a.0 as u32, region);
+            self.record(a, cause, region, nest, step, evict);
+        }
+        Ok(tile)
+    }
+
+    /// Ends a staged tile's residency, writing it back first when its
+    /// slot is written — through the journal protocol (intent → write
+    /// → commit) on a durable run, whose pre-image read lands in the
+    /// ledger as [`IoCause::ReplayRead`].
+    fn retire(
+        &mut self,
+        (a, slot): (ArrayId, usize),
+        tile: Tile,
+        staging: &Staging,
+        nest: usize,
+        step: u64,
+    ) -> io::Result<()> {
+        let region = tile.region();
+        if staging.slot_written(a, slot) {
+            let arr = &mut self.arrays[a.0];
+            let _s = ooc_trace::enabled()
+                .then(|| ooc_trace::span("runtime", &format!("write-tile:{}", arr.name())));
+            let pre = match &self.journal {
+                Some(journal) => {
+                    let pre = arr.read_tile(region)?;
+                    let seq = journal.intent(a.0 as u32, region, tile.data(), pre.data())?;
+                    arr.write_tile(&tile)?;
+                    journal.commit(seq)?;
+                    true
+                }
+                None => {
+                    arr.write_tile(&tile)?;
+                    false
+                }
+            };
+            if let Some(rec) = self.ledger {
+                if pre {
+                    self.record(a, IoCause::ReplayRead, region, nest, step, None);
+                    // The intent record carries the new data plus the
+                    // pre-image.
+                    rec.add_journal_bytes(2 * region.len() as u64 * ELEM_BYTES);
+                }
+                let cause = self.tracker.classify_write(a.0 as u32, region);
+                self.record(a, cause, region, nest, step, None);
+            }
+        }
+        // Displacement = eviction of the staged copy, read or written.
+        if self.ledger.is_some() {
+            self.tracker.note_evicted(a.0 as u32, region, step, None);
+        }
+        Ok(())
+    }
+
+    /// Retires every staged tile (iteration barrier or checkpoint).
+    fn flush(
+        &mut self,
+        tiles: &mut BTreeMap<(ArrayId, usize), Tile>,
+        staging: &Staging,
+        nest: usize,
+        step: u64,
+    ) -> io::Result<()> {
+        for (key, tile) in std::mem::take(tiles) {
+            self.retire(key, tile, staging, nest, step)?;
+        }
+        Ok(())
+    }
 }
 
 /// The functional staging plan of one nest: which tile slot each
@@ -932,10 +1083,16 @@ pub(crate) struct Staging {
 }
 
 impl Staging {
-    pub(crate) fn for_nest(nest: &LoopNest, writes: &[ArrayId], touched: &[ArrayId]) -> Self {
+    pub(crate) fn for_nest(nest: &LoopNest) -> Self {
+        let (mut touched, writes) = rw_arrays(nest);
+        for w in &writes {
+            if !touched.contains(w) {
+                touched.push(*w);
+            }
+        }
         let mut plan = BTreeMap::new();
         let mut written_slots = BTreeMap::new();
-        for &a in touched {
+        for a in touched {
             let classes = access_classes(nest, a);
             if writes.contains(&a) && classes.len() > 1 {
                 plan.insert(a, None);
@@ -953,7 +1110,7 @@ impl Staging {
         }
         Staging {
             plan,
-            written: writes.to_vec(),
+            written: writes,
             written_slots,
         }
     }

@@ -22,9 +22,10 @@
 //!    data transformations.
 //! 8. [`global`] — the paper's §5 future work: exact global layout
 //!    assignment by branch-and-bound.
-//! 9. [`pipeline`] — the asynchronous tile pipeline: compiler-driven
-//!    prefetch, a Belady-informed tile cache, and write-behind over
-//!    the schedules the tiling pass fixes statically.
+//! 9. [`pipeline`] — the asynchronous tile pipeline (the `NestRun`
+//!    engine): compiler-driven prefetch, a Belady-informed tile cache,
+//!    and write-behind over the schedules the tiling pass fixes
+//!    statically; the pipelined executor is the engine at one shard.
 //! 10. [`recovery`] — crash-consistent execution: per-tile-region
 //!     checksums, a write intent journal, checkpoint manifests at
 //!     tile-row boundaries, and checkpoint/restart that recovers a
@@ -32,7 +33,8 @@
 //! 11. [`parallel`] — the measured multi-node executor: nests
 //!     partitioned by tile-walk ownership at their communication-free
 //!     level and driven by worker threads over shared (typically
-//!     striped) stores, bit-equal to the single-threaded pipeline.
+//!     striped) stores, bit-equal to the one-shard pipeline (the
+//!     pipelined executor is this executor at one shard).
 //!
 //! # Example: the paper's worked example, end to end
 //!

@@ -1,10 +1,17 @@
 //! The measured multi-node parallel executor: shard a nest's static
-//! tile walk across worker threads and drive each shard with the same
-//! pipelined machinery (prefetch pool, tile cache, write-behind) the
-//! single-threaded executor uses, over the same shared store stack —
-//! typically striped across simulated I/O nodes
+//! tile walk across worker threads and drive each shard with the
+//! `NestRun` engine (prefetch pool, tile cache, write-behind; see
+//! [`crate::pipeline`]), over one shared store stack — typically
+//! striped across simulated I/O nodes
 //! ([`StripedStore`](ooc_runtime::StripedStore)) so queueing contention
 //! is *experienced*, not just priced.
+//!
+//! This module holds the only loop that runs the engine. At one shard
+//! every nest takes the serial path, which is exactly the pipelined
+//! executor: [`exec_pipelined`](crate::pipeline::exec_pipelined) and
+//! its durable siblings run that loop with `shards: 1` and the
+//! pipelined identity (trace span `exec-pipelined`, ledger labels
+//! `pipelined` / `durable-pipelined` / `durable-pipelined-resume`).
 //!
 //! # Partitioning
 //!
@@ -47,16 +54,14 @@
 //!
 //! # Durability
 //!
-//! A durable parallel run reuses the journal/fence/manifest protocol
-//! wholesale: every worker's write-behind sink journals intents
-//! against the shared session and commits them through its own fence.
-//! Multi-shard nests checkpoint at **iteration barriers** (all shards
-//! joined, all queues flushed) with the serial watermark
-//! `(it + 1) * steps_per_iteration`; serial-fallback nests keep the
-//! single-threaded executor's tile-row checkpoint cadence. Resume
-//! therefore lands on a serial-schedule boundary and replays at most
-//! one checkpoint interval per array, exactly as in the
-//! single-threaded case.
+//! A durable run attaches a `DurableSession`: every worker's
+//! write-behind sink journals intents against the shared session and
+//! commits them through its own fence. Multi-shard nests checkpoint at
+//! **iteration barriers** (all shards joined, all queues flushed) with
+//! the serial watermark `(it + 1) * steps_per_iteration`; serial-path
+//! nests (every nest at one shard) checkpoint at tile rows and
+//! iteration ends. Resume therefore lands on a serial-schedule
+//! boundary and replays at most one checkpoint interval per array.
 //!
 //! # Degraded mode
 //!
@@ -73,16 +78,15 @@
 //! repair plane (ledger repair channel, `Repair` blame category) —
 //! never in the data-plane conservation law.
 
-use crate::exec::{ArrayProfile, FunctionalRun};
+use crate::exec::{dump_arrays, profile, setup_arrays, ArrayProfile, FunctionalRun};
 use crate::pipeline::{
-    plan_nest, setup_run, worker_handles, DurableHooks, NestPlan, NestRun, PipelineConfig,
-    RunSetup, ShardWorker,
+    plan_nest, worker_handles, DurableHooks, NestPlan, NestRun, PipelineConfig, ShardWorker,
 };
 use crate::recovery::DurableSession;
 use crate::tiling::TiledProgram;
 use ooc_ir::{ArrayId, DepElem};
-use ooc_runtime::{IoStats, MemoryBudget, Store};
-use ooc_sched::{partition_nest_checked, PipelineStats};
+use ooc_runtime::{IoStats, MemoryBudget, SharedStore, Store};
+use ooc_sched::{partition_nest_checked, NestSchedule, PipelineStats};
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
@@ -172,7 +176,7 @@ pub fn exec_parallel<S: Store + Send + 'static>(
     cfg: &ParallelConfig,
     make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
 ) -> io::Result<ParallelRun> {
-    exec_parallel_inner(tp, params, init, cfg, make_store, None)
+    exec_parallel_inner(tp, params, init, cfg, make_store, None, PARALLEL)
 }
 
 /// The communication-free ownership level of `nest`: the first loop
@@ -186,9 +190,41 @@ pub fn ownership_level(nest: &ooc_ir::LoopNest) -> Option<usize> {
     (0..nest.depth).find(|&l| deps.iter().all(|d| d.vector[l] == DepElem::Exact(0)))
 }
 
-/// The parallel executor body, with the optional durable session the
-/// recovery layer drives (see the module docs for the checkpoint
-/// placement).
+/// The public executor a `NestRun`-engine run reports as. `name` gives
+/// the top trace span (`exec-<name>`) and the ledger executor label
+/// (`<name>`, `durable-<name>`, or `durable-<name>-resume`); `cat` is
+/// the trace category of the run's spans.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Executor {
+    pub(crate) cat: &'static str,
+    pub(crate) name: &'static str,
+}
+
+/// The pipelined executor: the engine at one shard.
+pub(crate) const PIPELINED: Executor = Executor {
+    cat: "pipeline",
+    name: "pipelined",
+};
+
+/// The parallel executor.
+pub(crate) const PARALLEL: Executor = Executor {
+    cat: "parallel",
+    name: "parallel",
+};
+
+/// `cfg` as a one-shard parallel configuration.
+pub(crate) fn one_shard(cfg: &PipelineConfig) -> ParallelConfig {
+    ParallelConfig {
+        pipeline: cfg.clone(),
+        shards: 1,
+    }
+}
+
+/// Runs the `NestRun` engine over every nest, with the optional durable session
+/// the recovery layer drives (see the module docs for the checkpoint
+/// placement). It serves the pipelined executor at one shard and the
+/// parallel executor at N; `exec` names the run in traces and the
+/// ledger.
 pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
     tp: &TiledProgram,
     params: &[i64],
@@ -196,31 +232,38 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
     cfg: &ParallelConfig,
     mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
     mut dur: Option<&mut DurableSession>,
+    exec: Executor,
 ) -> io::Result<ParallelRun> {
     let pcfg = &cfg.pipeline;
     let shards = cfg.shards.max(1);
     let _lane = ooc_trace::lane_scope(ooc_trace::Lane::main());
     let _span = ooc_trace::span_with(
-        "parallel",
-        "exec-parallel",
+        exec.cat,
+        &format!("exec-{}", exec.name),
         vec![
             ("shards", (shards as u64).into()),
             ("workers", (pcfg.workers as u64).into()),
             ("depth", (pcfg.prefetch_depth as u64).into()),
         ],
     );
-    let RunSetup {
-        dims_of,
-        shared,
-        arrays: mut main_arrays,
-    } = setup_run(tp, params, init, pcfg, &mut make_store, &mut dur)?;
-    if let Some(rec) = &pcfg.functional.ledger {
-        rec.set_executor("parallel");
-    }
+    let label = match dur.as_ref() {
+        None => exec.name.to_string(),
+        Some(d) if d.report.resumed => format!("durable-{}-resume", exec.name),
+        Some(_) => format!("durable-{}", exec.name),
+    };
+    let mut main_arrays = setup_arrays(
+        tp,
+        params,
+        init,
+        &pcfg.functional,
+        &mut |a, name, len| Ok(SharedStore::new(make_store(a, name, len)?)),
+        dur.as_deref_mut(),
+        &label,
+    )?;
 
     // One ShardWorker per shard, each with its own array handles,
     // prefetch pool, write-behind queue, and durability fence.
-    let mk_arrays = || worker_handles(tp, &dims_of, &shared, pcfg);
+    let mk_arrays = || worker_handles(&main_arrays, pcfg);
     let mut workers: Vec<ShardWorker<S>> = (0..shards)
         .map(|_| {
             let hooks = dur.as_ref().map(|d| DurableHooks {
@@ -235,32 +278,36 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
     let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
     let budget = MemoryBudget::paper_fraction(total_elems, pcfg.functional.memory_fraction);
     let mut partitions: Vec<PartitionSummary> = Vec::new();
+    // Serial steps of all earlier nests: ledger events carry the
+    // run-global step `base + g`.
+    let mut base: u64 = 0;
 
     for ni in 0..tp.nests.len() {
-        if dur.as_ref().is_some_and(|d| d.skip_nest(ni)) {
-            continue;
-        }
-        let Some(NestPlan { staging, schedule }) = plan_nest(
+        // Resume: nests the checkpoint boundary already covers are
+        // durable in the medium — skip them without touching I/O.
+        let skip = dur.as_ref().is_some_and(|d| d.skip_nest(ni));
+        let plan = plan_nest(
             tp,
             ni,
             params,
             &budget,
             pcfg.functional.runtime.max_call_elems,
-        ) else {
-            if let Some(d) = dur.as_deref_mut() {
+        );
+        let Some(NestPlan { staging, schedule }) = plan.filter(|p| p.schedule.total_steps() > 0)
+        else {
+            if let Some(d) = dur.as_deref_mut().filter(|_| !skip) {
                 d.checkpoint(ni + 1, 0)?;
             }
             continue;
         };
+        let nest_base = base;
+        base += schedule.total_steps();
+        if skip {
+            continue;
+        }
         let nest = &tp.nests[ni].nest;
         let n = schedule.steps.len() as u64;
         let iterations = schedule.iterations;
-        if n == 0 || iterations == 0 {
-            if let Some(d) = dur.as_deref_mut() {
-                d.checkpoint(ni + 1, 0)?;
-            }
-            continue;
-        }
         let level = ownership_level(nest);
         let part = partition_nest_checked(&schedule, level, shards);
         partitions.push(PartitionSummary {
@@ -270,20 +317,24 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
             serial_fallback: part.serial_fallback,
         });
 
+        // Steps this nest's checkpoint boundary already covers.
         let start_g = dur.as_ref().map_or(0, |d| d.start_step(ni));
-        if start_g > 0 {
-            if let Some(d) = dur.as_deref_mut() {
-                d.report.skipped_steps += start_g;
-            }
+        if let Some(d) = dur.as_deref_mut() {
+            d.report.skipped_steps += start_g;
         }
-        let _nest_span = ooc_trace::span("parallel", &format!("nest:{}", nest.name));
+        let _nest_span = ooc_trace::span(exec.cat, &format!("nest:{}", nest.name));
+        let run = |schedule: NestSchedule, start_g: u64| {
+            NestRun::new(
+                ni, nest_base, nest, params, &staging, schedule, start_g, pcfg,
+            )
+        };
 
         if part.serial_fallback || part.active_shards() <= 1 {
             // Serial path: worker 0 drives the full serial schedule on
             // the main thread with the durable session attached, so
-            // tile-row checkpoints behave exactly as in the
-            // single-threaded executor.
-            let mut nr = NestRun::new(ni, nest, params, &staging, schedule, start_g, pcfg);
+            // tile-row checkpoints behave exactly as in a one-shard
+            // run.
+            let mut nr = run(schedule, start_g);
             for g in start_g..nr.total_steps() {
                 nr.step(&mut workers[0], g, &mut dur)?;
             }
@@ -297,8 +348,7 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
                 // iteration serially so row accounting stays exact,
                 // then shard from the next iteration barrier.
                 let to = (from_it + 1) * n;
-                let mut nr =
-                    NestRun::new(ni, nest, params, &staging, schedule.clone(), start_g, pcfg);
+                let mut nr = run(schedule.clone(), start_g);
                 for g in start_g..to {
                     nr.step(&mut workers[0], g, &mut dur)?;
                 }
@@ -314,18 +364,8 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
                 .shards
                 .iter()
                 .map(|sh| {
-                    (!sh.schedule.steps.is_empty()).then(|| {
-                        let n_s = sh.schedule.steps.len() as u64;
-                        NestRun::new(
-                            ni,
-                            nest,
-                            params,
-                            &staging,
-                            sh.schedule.clone(),
-                            from_it * n_s,
-                            pcfg,
-                        )
-                    })
+                    let n_s = sh.schedule.steps.len() as u64;
+                    (n_s > 0).then(|| run(sh.schedule.clone(), from_it * n_s))
                 })
                 .collect();
 
@@ -395,7 +435,7 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
         }
         if ooc_trace::enabled() {
             ooc_trace::instant(
-                "parallel",
+                exec.cat,
                 "flush-barrier",
                 vec![("nest", nest.name.clone().into())],
             );
@@ -434,12 +474,7 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
                     s.merge(x);
                 }
             }
-            ArrayProfile {
-                name: arr.name().to_string(),
-                stats: s,
-                measured: arr.measured(),
-                accesses: arr.access_log(),
-            }
+            profile(arr, s)
         })
         .collect();
 
@@ -450,14 +485,11 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
     }
     pipeline.io_retries = profiles.iter().map(|p| p.stats.retries).sum();
 
-    let mut data = Vec::with_capacity(main_arrays.len());
-    for arr in main_arrays.iter_mut() {
-        let region = ooc_runtime::Region::full(arr.dims());
-        data.push(arr.read_tile(&region)?.data().to_vec());
-    }
-
     Ok(ParallelRun {
-        run: FunctionalRun { data, profiles },
+        run: FunctionalRun {
+            data: dump_arrays(&mut main_arrays)?,
+            profiles,
+        },
         pipeline,
         shard_stats,
         partitions,

@@ -1,9 +1,16 @@
-//! The pipelined executor: [`exec_pipelined`] runs the same tile walk
-//! as [`run_functional_on`](crate::exec::run_functional_on), but
-//! overlaps tile I/O with compute using the `ooc-sched` subsystem —
-//! background prefetch of upcoming read tiles, a bounded
-//! Belady-informed tile cache, and write-behind of dirty tiles with a
-//! flush barrier at every nest boundary.
+//! The `NestRun` engine, the second of the repo's two tile walks (the
+//! first is the sync walk in [`crate::exec`]): it overlaps tile I/O
+//! with compute using the `ooc-sched` subsystem — background prefetch
+//! of upcoming read tiles, a bounded Belady-informed tile cache, and
+//! write-behind of dirty tiles with a flush barrier at every nest
+//! boundary. `NestRun::step` is the loop body for one schedule step
+//! on one `ShardWorker`.
+//!
+//! One loop in [`crate::parallel`] runs the engine and serves both
+//! public executors: [`exec_pipelined`] is the engine at one
+//! shard, `exec_parallel` runs it at N shards. Durability is an
+//! optional session that loop threads through (see
+//! [`crate::recovery`]).
 //!
 //! ## Why the overlap is safe (bit-equality argument)
 //!
@@ -34,10 +41,8 @@
 //! and runs; thread timing can only move work between the "prefetched"
 //! and "stalled" buckets of [`PipelineStats`].
 
-use crate::exec::{
-    exec_box, level_ranges, rw_arrays, walk_tiles, ArrayProfile, FunctionalConfig, FunctionalRun,
-    Staging,
-};
+use crate::exec::{exec_box, level_ranges, walk_tiles, FunctionalConfig, FunctionalRun, Staging};
+use crate::parallel::{exec_parallel_inner, one_shard, PIPELINED};
 use crate::recovery::DurableSession;
 use crate::tiling::{plan_spans, IoWeights, TiledProgram};
 use ooc_ir::ArrayId;
@@ -156,17 +161,7 @@ pub(crate) fn plan_nest(
         IoWeights::default(),
         max_call_elems,
     );
-    let (reads, writes) = rw_arrays(nest);
-    let touched: Vec<ArrayId> = {
-        let mut t = reads.clone();
-        for w in &writes {
-            if !t.contains(w) {
-                t.push(*w);
-            }
-        }
-        t
-    };
-    let staging = Staging::for_nest(nest, &writes, &touched);
+    let staging = Staging::for_nest(nest);
     let dims: Vec<Vec<i64>> = tp
         .program
         .arrays
@@ -486,9 +481,9 @@ pub(crate) struct DurableHooks {
 
 /// One executor thread's private pipeline machinery: its own array
 /// handles over the shared stores, its own prefetch pool and
-/// write-behind queue, and its own counters. The single-threaded
-/// executor is exactly one `ShardWorker` driving the full schedule;
-/// the parallel executor builds one per schedule shard.
+/// write-behind queue, and its own counters. One is built per
+/// shard; at one shard (the pipelined executor) that single worker
+/// drives the full serial schedule.
 pub(crate) struct ShardWorker<S: Store + Send + 'static> {
     pub(crate) arrays: Vec<OocArray<SharedStore<S>>>,
     pub(crate) pool: Option<PrefetchPool>,
@@ -587,11 +582,14 @@ impl<S: Store + Send + 'static> ShardWorker<S> {
 /// The per-nest, per-worker execution state of the tile walk: cache,
 /// arrival buffer, in-flight prefetches, resident written tiles, and
 /// the issue window. [`NestRun::step`] is the pipelined executor's
-/// loop body for one global step; the single-threaded executor drives
-/// one `NestRun` over the whole serial schedule, the parallel
-/// executor one per shard over that shard's schedule.
+/// loop body for one global step; one `NestRun` walks the whole serial
+/// schedule of a serial-path nest, or one per shard walks that shard's
+/// schedule.
 pub(crate) struct NestRun<'a> {
     ni: usize,
+    /// Serial steps of all earlier nests: provenance events carry the
+    /// run-global step `base + g`.
+    base: u64,
     nest: &'a ooc_ir::LoopNest,
     bounds: Vec<ooc_linalg::LoopBounds>,
     params: &'a [i64],
@@ -618,8 +616,10 @@ impl<'a> NestRun<'a> {
     /// `schedule` (row accounting is a pure function of the step
     /// index, so a resumed run checkpoints at exactly the same steps
     /// as an uninterrupted one).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ni: usize,
+        base: u64,
         nest: &'a ooc_ir::LoopNest,
         params: &'a [i64],
         staging: &'a Staging,
@@ -643,6 +643,7 @@ impl<'a> NestRun<'a> {
         });
         NestRun {
             ni,
+            base,
             nest,
             bounds: nest.bounds.loop_bounds(),
             params,
@@ -706,7 +707,12 @@ impl<'a> NestRun<'a> {
                             &mut w.arrays,
                             &mut w.stats,
                             w.sync_journal.as_ref(),
-                            (&mut w.tracker, w.ledger.as_ref(), self.ni as u32, g),
+                            (
+                                &mut w.tracker,
+                                w.ledger.as_ref(),
+                                self.ni as u32,
+                                self.base + g,
+                            ),
                             id,
                             tile,
                         )?;
@@ -779,7 +785,7 @@ impl<'a> NestRun<'a> {
                 t
             } else if let Some((t, fstats)) = self.arrived.remove(id) {
                 w.stats.prefetched_reads += 1;
-                record_prefetched(w, self.ni, g, id.key.array, &t, &fstats);
+                record_prefetched(w, self.ni, self.base + g, id.key.array, &t, &fstats);
                 t
             } else if self.inflight.contains_key(id) {
                 // Stall: block on deliveries until ours lands.
@@ -812,7 +818,7 @@ impl<'a> NestRun<'a> {
                 match self.arrived.remove(id) {
                     Some((t, fstats)) => {
                         w.stats.prefetched_reads += 1;
-                        record_prefetched(w, self.ni, g, id.key.array, &t, &fstats);
+                        record_prefetched(w, self.ni, self.base + g, id.key.array, &t, &fstats);
                         t
                     }
                     None => {
@@ -821,7 +827,7 @@ impl<'a> NestRun<'a> {
                             ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())])
                         });
                         let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                        record_sync_read(w, self.ni, g, id.key.array, &t);
+                        record_sync_read(w, self.ni, self.base + g, id.key.array, &t);
                         t
                     }
                 }
@@ -833,7 +839,7 @@ impl<'a> NestRun<'a> {
                     ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())])
                 });
                 let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                record_sync_read(w, self.ni, g, id.key.array, &t);
+                record_sync_read(w, self.ni, self.base + g, id.key.array, &t);
                 t
             };
             tiles.insert(key, tile);
@@ -867,7 +873,12 @@ impl<'a> NestRun<'a> {
                         &mut w.arrays,
                         &mut w.stats,
                         w.sync_journal.as_ref(),
-                        (&mut w.tracker, w.ledger.as_ref(), self.ni as u32, g),
+                        (
+                            &mut w.tracker,
+                            w.ledger.as_ref(),
+                            self.ni as u32,
+                            self.base + g,
+                        ),
                         old_id,
                         old,
                     )?;
@@ -878,7 +889,7 @@ impl<'a> NestRun<'a> {
                     wb.wait_clear(id.key.array, &id.region);
                 }
                 let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                record_sync_read(w, self.ni, g, id.key.array, &t);
+                record_sync_read(w, self.ni, self.base + g, id.key.array, &t);
                 self.written_tiles.insert(key, t);
             }
             let t = self
@@ -922,11 +933,11 @@ impl<'a> NestRun<'a> {
                 // the evicting step and the Belady annotation.
                 for e in &out.evicted {
                     w.tracker
-                        .note_evicted(e.key.array, e.tile.region(), g, e.next_use);
+                        .note_evicted(e.key.array, e.tile.region(), self.base + g, e.next_use);
                 }
                 if let Some(t) = &out.rejected {
                     w.tracker
-                        .note_evicted(req.tile.key.array, t.region(), g, next);
+                        .note_evicted(req.tile.key.array, t.region(), self.base + g, next);
                 }
             }
         }
@@ -954,7 +965,12 @@ impl<'a> NestRun<'a> {
                     &mut w.arrays,
                     &mut w.stats,
                     w.sync_journal.as_ref(),
-                    (&mut w.tracker, w.ledger.as_ref(), self.ni as u32, g),
+                    (
+                        &mut w.tracker,
+                        w.ledger.as_ref(),
+                        self.ni as u32,
+                        self.base + g,
+                    ),
                     id,
                     tile,
                 )?;
@@ -996,7 +1012,7 @@ impl<'a> NestRun<'a> {
         // Provenance: everything still in the arrival buffer was
         // delivered but never consumed — wasted prefetch bytes.
         if let Some(rec) = &w.ledger {
-            let end = self.total_steps();
+            let end = self.base + self.total_steps();
             for (id, (tile, fstats)) in &self.arrived {
                 rec.record(LedgerEvent {
                     array: id.key.array,
@@ -1017,7 +1033,7 @@ impl<'a> NestRun<'a> {
         debug_assert!(drained.iter().all(|e| !e.dirty));
         // The barrier evicts every resident tile: a later nest's
         // re-read of one of these regions is a capacity miss.
-        let end = self.total_steps();
+        let end = self.base + self.total_steps();
         for e in &drained {
             w.tracker
                 .note_evicted(e.key.array, e.tile.region(), end, e.next_use);
@@ -1029,127 +1045,23 @@ impl<'a> NestRun<'a> {
     }
 }
 
-/// Shared run preamble for the pipelined and parallel executors:
-/// resolved array dims, the shared store stack, and the seeded
-/// main-thread array handles, with journal pre-image rollback applied
-/// when resuming a durable run.
-pub(crate) struct RunSetup<S: Store + Send + 'static> {
-    pub(crate) dims_of: Vec<Vec<i64>>,
-    pub(crate) shared: Vec<SharedStore<S>>,
-    pub(crate) arrays: Vec<OocArray<SharedStore<S>>>,
-}
-
-/// Builds every array's shared store, seeds it (unless the durable
-/// session says seeding is already durable), resets metrics so only
-/// the compute phase is profiled, and rolls back uncommitted journal
-/// writes before marking the run begun.
-pub(crate) fn setup_run<S: Store + Send + 'static>(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    make_store: &mut dyn FnMut(usize, &str, u64) -> io::Result<S>,
-    dur: &mut Option<&mut DurableSession>,
-) -> io::Result<RunSetup<S>> {
-    let dims_of: Vec<Vec<i64>> = tp
-        .program
-        .arrays
-        .iter()
-        .map(|decl| decl.dims.iter().map(|d| d.resolve(params)).collect())
-        .collect();
-
-    let mut shared: Vec<SharedStore<S>> = Vec::with_capacity(tp.program.arrays.len());
-    let mut arrays: Vec<OocArray<SharedStore<S>>> = Vec::with_capacity(tp.program.arrays.len());
-    for (a, decl) in tp.program.arrays.iter().enumerate() {
-        let dims = &dims_of[a];
-        let len: i64 = dims.iter().product();
-        let store = SharedStore::new(make_store(
-            a,
-            &decl.name,
-            u64::try_from(len).expect("positive size"),
-        )?);
-        shared.push(store.clone());
-        let mut arr = OocArray::new(
-            &decl.name,
-            dims,
-            tp.layouts[a].clone(),
-            store,
-            cfg.functional.runtime,
-        );
-        if dur.as_ref().is_none_or(|d| !d.skip_seed) {
-            arr.initialize(|idx| init(ArrayId(a), idx))?;
-        }
-        // Profile the compute phase only.
-        arr.reset_all_metrics();
-        arrays.push(arr);
-    }
-
-    // Provenance: register array names once per run.
-    if let Some(rec) = &cfg.functional.ledger {
-        for (a, arr) in arrays.iter().enumerate() {
-            rec.set_array(a as u32, arr.name());
-        }
-    }
-
-    // Recovery: restore journal pre-images for every uncommitted (or
-    // post-boundary) write of the crashed run, then mark seeding
-    // durable for fresh runs.
-    if let Some(d) = dur.as_deref_mut() {
-        let _replay = ooc_trace::enabled().then(|| ooc_trace::span("durable", "recovery-replay"));
-        let ledger = cfg.functional.ledger.clone();
-        d.rollback_now(&mut |a, region, pre| {
-            let mut t = Tile::zeroed(region.clone());
-            if t.data().len() != pre.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "journal pre-image length mismatch",
-                ));
-            }
-            t.data_mut().copy_from_slice(pre);
-            let arr = &mut arrays[a as usize];
-            if let Some(rec) = &ledger {
-                rec.record(LedgerEvent {
-                    array: a,
-                    cause: IoCause::ReplayWrite,
-                    calls: arr.exact_tile_calls(region),
-                    elems: region.len() as u64,
-                    region: region.clone(),
-                    nest: 0,
-                    step: 0,
-                    evict: None,
-                });
-            }
-            arr.write_tile(&t)
-        })?;
-        d.begin()?;
-    }
-    Ok(RunSetup {
-        dims_of,
-        shared,
-        arrays,
-    })
-}
-
-/// Fresh per-thread array handles over the same shared stores. Workers
-/// never touch analytic or measured reset paths — their per-fetch
-/// stats are isolated by `reset_stats()` on their own handles, and
-/// store-level measurement accumulates in the shared stack.
+/// Fresh per-thread array handles over the same shared stores as
+/// `arrays`. Workers never touch analytic or measured reset paths —
+/// their per-fetch stats are isolated by `reset_stats()` on their own
+/// handles, and store-level measurement accumulates in the shared
+/// stack.
 pub(crate) fn worker_handles<S: Store + Send + 'static>(
-    tp: &TiledProgram,
-    dims_of: &[Vec<i64>],
-    shared: &[SharedStore<S>],
+    arrays: &[OocArray<SharedStore<S>>],
     cfg: &PipelineConfig,
 ) -> Vec<OocArray<SharedStore<S>>> {
-    tp.program
-        .arrays
+    arrays
         .iter()
-        .enumerate()
-        .map(|(a, decl)| {
+        .map(|arr| {
             OocArray::new(
-                &decl.name,
-                &dims_of[a],
-                tp.layouts[a].clone(),
-                shared[a].clone(),
+                arr.name(),
+                arr.dims(),
+                arr.layout().clone(),
+                arr.store().clone(),
                 cfg.functional.runtime,
             )
         })
@@ -1163,7 +1075,8 @@ pub(crate) fn worker_handles<S: Store + Send + 'static>(
 /// through write-behind with a flush barrier at every nest boundary.
 /// Results are bit-equal to
 /// [`run_functional_on`](crate::exec::run_functional_on) over the same
-/// stores (see the module docs for the argument).
+/// stores (see the module docs for the argument). This is the
+/// parallel executor's `NestRun` engine at one shard.
 ///
 /// `make_store` builds each array's backing store exactly as for the
 /// synchronous executor; it only additionally needs `Send` so clones
@@ -1183,180 +1096,18 @@ pub fn exec_pipelined<S: Store + Send + 'static>(
     cfg: &PipelineConfig,
     make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
 ) -> io::Result<PipelinedRun> {
-    exec_pipelined_inner(tp, params, init, cfg, make_store, None)
-}
-
-/// The pipelined executor body, with the optional durability hooks the
-/// recovery layer drives: journaled write-back, checkpoint records at
-/// tile-row / iteration / nest boundaries, and boundary-driven step
-/// skipping plus pre-image rollback on resume.
-pub(crate) fn exec_pipelined_inner<S: Store + Send + 'static>(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
-    mut dur: Option<&mut DurableSession>,
-) -> io::Result<PipelinedRun> {
-    let _lane = ooc_trace::lane_scope(ooc_trace::Lane::main());
-    let _span = ooc_trace::span_with(
-        "pipeline",
-        "exec-pipelined",
-        vec![
-            ("workers", (cfg.workers as u64).into()),
-            ("depth", (cfg.prefetch_depth as u64).into()),
-        ],
-    );
-    let RunSetup {
-        dims_of,
-        shared,
-        arrays,
-    } = setup_run(tp, params, init, cfg, &mut make_store, &mut dur)?;
-    // Main-thread journal handle for synchronous (non-write-behind)
-    // durable retirement.
-    let sync_journal: Option<SharedJournal> = dur.as_ref().map(|d| d.journal.clone());
-
-    let worker_arrays = |shared: &[SharedStore<S>]| -> Vec<OocArray<SharedStore<S>>> {
-        worker_handles(tp, &dims_of, shared, cfg)
-    };
-
-    let pool = (cfg.workers > 0 && cfg.prefetch_depth > 0).then(|| {
-        PrefetchPool::new(
-            (0..cfg.workers)
-                .map(|_| {
-                    Box::new(SharedTileSource {
-                        arrays: worker_arrays(&shared),
-                    }) as Box<dyn TileSource>
-                })
-                .collect(),
-        )
-    });
-    let wb = cfg.write_behind.then(|| match dur.as_ref() {
-        Some(d) => WriteBehind::with_fence(
-            Box::new(DurableSink {
-                arrays: worker_arrays(&shared),
-                journal: d.journal.clone(),
-                pending: Arc::clone(&d.pending),
-            }),
-            Some(d.fence()),
-        ),
-        None => WriteBehind::new(Box::new(SharedTileSink {
-            arrays: worker_arrays(&shared),
-        })),
-    });
-    // The single-threaded executor is one shard worker driving the
-    // full serial schedule — the main arrays double as its handles.
-    if let Some(rec) = &cfg.functional.ledger {
-        rec.set_executor("pipelined");
-    }
-    let mut w = ShardWorker {
-        arrays,
-        pool,
-        wb,
-        sync_journal,
-        stats: PipelineStats::default(),
-        prefetch_stats: BTreeMap::new(),
-        executed_steps: 0,
-        tracker: TouchTracker::new(),
-        ledger: cfg.functional.ledger.clone(),
-    };
-
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, cfg.functional.memory_fraction);
-
-    for ni in 0..tp.nests.len() {
-        // Resume: nests the checkpoint boundary already covers are
-        // durable in the medium — skip them without touching I/O.
-        if dur.as_ref().is_some_and(|d| d.skip_nest(ni)) {
-            continue;
-        }
-        let Some(NestPlan { staging, schedule }) = plan_nest(
-            tp,
-            ni,
-            params,
-            &budget,
-            cfg.functional.runtime.max_call_elems,
-        ) else {
-            if let Some(d) = dur.as_deref_mut() {
-                d.checkpoint(ni + 1, 0)?;
-            }
-            continue;
-        };
-        let nest = &tp.nests[ni].nest;
-        let n = schedule.steps.len() as u64;
-        if n == 0 || schedule.iterations == 0 {
-            if let Some(d) = dur.as_deref_mut() {
-                d.checkpoint(ni + 1, 0)?;
-            }
-            continue;
-        }
-        // Steps this nest's checkpoint boundary already covers.
-        let start_g = dur.as_ref().map_or(0, |d| d.start_step(ni));
-        if start_g > 0 {
-            if let Some(d) = dur.as_deref_mut() {
-                d.report.skipped_steps += start_g;
-            }
-        }
-        let mut nr = NestRun::new(ni, nest, params, &staging, schedule, start_g, cfg);
-        let _nest_span = ooc_trace::span("pipeline", &format!("nest:{}", nest.name));
-
-        for g in start_g..nr.total_steps() {
-            nr.step(&mut w, g, &mut dur)?;
-        }
-        nr.finish(&mut w)?;
-        if let Some(d) = dur.as_deref_mut() {
-            // Everything this nest wrote is durable and committed.
-            let _ckpt = ooc_trace::enabled().then(|| ooc_trace::span("durable", "checkpoint"));
-            d.checkpoint(ni + 1, 0)?;
-        }
-        if ooc_trace::enabled() {
-            ooc_trace::instant(
-                "pipeline",
-                "flush-barrier",
-                vec![("nest", nest.name.clone().into())],
-            );
-        }
-    }
-
-    // Tear down the workers before capturing profiles so every
-    // delivery and write-back is accounted.
-    let wb_stats = w.shutdown()?;
-
-    // Profiles before the final dump, as in the synchronous executor:
-    // analytic stats fold main-thread staging, prefetch deliveries,
-    // and write-behind retirements; measured I/O accumulated in the
-    // shared store stack across all threads.
-    let profiles: Vec<ArrayProfile> = w
-        .arrays
-        .iter()
-        .enumerate()
-        .map(|(a, arr)| {
-            let mut s = arr.stats();
-            if let Some(p) = w.prefetch_stats.get(&(a as u32)) {
-                s.merge(p);
-            }
-            if let Some(wbs) = wb_stats.get(&(a as u32)) {
-                s.merge(wbs);
-            }
-            ArrayProfile {
-                name: arr.name().to_string(),
-                stats: s,
-                measured: arr.measured(),
-                accesses: arr.access_log(),
-            }
-        })
-        .collect();
-    w.stats.io_retries = profiles.iter().map(|p| p.stats.retries).sum();
-
-    let mut data = Vec::with_capacity(w.arrays.len());
-    for arr in w.arrays.iter_mut() {
-        let region = ooc_runtime::Region::full(arr.dims());
-        data.push(arr.read_tile(&region)?.data().to_vec());
-    }
-
+    let run = exec_parallel_inner(
+        tp,
+        params,
+        init,
+        &one_shard(cfg),
+        make_store,
+        None,
+        PIPELINED,
+    )?;
     Ok(PipelinedRun {
-        run: FunctionalRun { data, profiles },
-        pipeline: w.stats,
+        run: run.run,
+        pipeline: run.pipeline,
     })
 }
 

@@ -6,19 +6,26 @@
 //! writes included) sit **under** the checksum layer, so a partial
 //! write leaves a stale CRC that the next read reports as a typed
 //! corrupt-read error. Every tile write-back follows the journal
-//! protocol (intent → write → commit), and both executors append a
+//! protocol (intent → write → commit), and the walk appends a
 //! [`CheckpointManifest`](parse_manifest) record at tile-row and
 //! iteration boundaries after durably flushing all resident written
 //! tiles.
 //!
-//! Recovery ([`resume_functional`] / [`resume_pipelined`]) scans the
-//! manifest for the last consistent boundary, rolls back every journal
-//! intent at or past the boundary's watermark (restoring pre-images in
-//! reverse sequence order — which also heals torn checksums), and
-//! restarts the tile walk from that boundary. The invariant the test
-//! suite asserts: a crashed-then-recovered run is **bit-equal** to an
-//! uninterrupted run, and the re-executed work is bounded by one
-//! checkpoint interval.
+//! Durability is not a walk of its own: it is an optional
+//! `DurableSession` attached to one of the two tile walks — the sync
+//! walk ([`run_functional_durable`] / [`resume_functional`]) or the
+//! `NestRun` engine at one shard ([`exec_pipelined_durable`] /
+//! [`resume_pipelined`]) or N shards ([`exec_parallel_durable`] /
+//! [`resume_parallel`]). All six entry points share one session opener
+//! and one report sealer.
+//!
+//! Recovery scans the manifest for the last consistent boundary, rolls
+//! back every journal intent at or past the boundary's watermark
+//! (restoring pre-images in reverse sequence order — which also heals
+//! torn checksums), and restarts the tile walk from that boundary. The
+//! invariant the test suite asserts: a crashed-then-recovered run is
+//! **bit-equal** to an uninterrupted run, and the re-executed work is
+//! bounded by one checkpoint interval.
 //!
 //! The manifest is an append-only text log like the journal, with a
 //! torn-tail-tolerant parser:
@@ -31,22 +38,20 @@
 //! `K nest+1 0 w` marks a nest fully done; `K nests.len() 0 w` marks
 //! the whole program done (resume then only re-reads the final dump).
 
-use crate::exec::{
-    exec_box, level_ranges, rw_arrays, walk_tiles, ArrayProfile, FunctionalConfig, FunctionalRun,
-    Staging,
+use crate::exec::{run_functional_inner, FunctionalConfig, FunctionalRun};
+use crate::parallel::{
+    exec_parallel_inner, one_shard, Executor, ParallelConfig, ParallelRun, PARALLEL, PIPELINED,
 };
-use crate::parallel::{ParallelConfig, ParallelRun};
 use crate::pipeline::{PipelineConfig, PipelinedRun};
-use crate::tiling::{plan_spans, IoWeights, TiledProgram};
+use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_metrics::Registry;
 use ooc_runtime::{
     is_corrupt, node_down, parse_journal, rollback, ChecksumHandle, ChecksummedStore, DegradedMode,
     FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool, Journal,
-    JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, MemoryBudget,
-    NodeFaultConfig, NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedJournal,
-    SharedStore, Store, StripeConfig, StripedStore, Tile, TouchTracker, UndoWriter, WriteIntent,
-    ELEM_BYTES,
+    JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
+    NodeHealth, OocArray, RepairIo, ScrubReport, SharedJournal, SharedStore, Store, StripeConfig,
+    StripedStore, Tile, WriteIntent,
 };
 use ooc_sched::{DurabilityFence, TileId};
 use std::collections::BTreeMap;
@@ -640,17 +645,45 @@ impl DurableSession {
         self.manifest.append(format!("S {wm}\n").as_bytes())
     }
 
-    /// Rolls back every post-watermark intent through `write`
-    /// (restoring pre-images in reverse sequence order), then records
-    /// the counts and emits a recovery explain.
-    pub(crate) fn rollback_now(&mut self, write: &mut UndoWriter<'_>) -> io::Result<()> {
+    /// Rolls back every post-watermark intent, restoring pre-images
+    /// into `arrays` in reverse sequence order (each booked as a
+    /// [`IoCause::ReplayWrite`]), then records the counts and emits a
+    /// recovery explain.
+    pub(crate) fn rollback_now<T: Store>(
+        &mut self,
+        arrays: &mut [OocArray<T>],
+        ledger: Option<&LedgerRecorder>,
+    ) -> io::Result<()> {
         if self.rollback_intents.is_empty() {
             return Ok(());
         }
         let _span = ooc_trace::span("recovery", "rollback");
         let intents = std::mem::take(&mut self.rollback_intents);
         let refs: Vec<&WriteIntent> = intents.iter().collect();
-        let n = rollback(&refs, write)?;
+        let n = rollback(&refs, &mut |a, region, pre| {
+            let mut t = Tile::zeroed(region.clone());
+            if t.data().len() != pre.len() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "journal pre-image length mismatch",
+                ));
+            }
+            t.data_mut().copy_from_slice(pre);
+            let arr = &mut arrays[a as usize];
+            if let Some(rec) = ledger {
+                rec.record(LedgerEvent {
+                    array: a,
+                    cause: IoCause::ReplayWrite,
+                    calls: arr.exact_tile_calls(region),
+                    elems: region.len() as u64,
+                    region: region.clone(),
+                    nest: 0,
+                    step: 0,
+                    evict: None,
+                });
+            }
+            arr.write_tile(&t)
+        })?;
         let mut by_array: BTreeMap<u32, u64> = BTreeMap::new();
         for w in &intents {
             *by_array.entry(w.array).or_default() += 1;
@@ -715,12 +748,6 @@ impl DurableSession {
     }
 }
 
-type BuiltArrays = (
-    Vec<OocArray<DurableStore>>,
-    Vec<Option<FaultHandle>>,
-    Vec<ChecksumHandle>,
-);
-
 /// Assembles one array's durable store stack: medium data store,
 /// optionally fault-wrapped (faults **under** the checksum layer, so
 /// torn writes are detectable), behind the CRC sidecar verifier.
@@ -747,370 +774,199 @@ fn durable_store(
     Ok((cs, fh, ch))
 }
 
-fn build_arrays(
-    tp: &TiledProgram,
-    params: &[i64],
-    cfg: &FunctionalConfig,
-    dur: &DurabilityConfig,
+/// Opens a durable run's session. A fresh run truncates the journal
+/// and manifest. A resumed run scans both for the last consistent
+/// boundary — falling back to a fresh run when there is none (the crash
+/// predated the seeded milestone) — drops torn tails before anything
+/// is appended, and collects the intents past the boundary's watermark
+/// for rollback.
+fn open_session(
     medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<BuiltArrays> {
-    let mut arrays = Vec::with_capacity(tp.program.arrays.len());
-    let mut fault_handles = Vec::new();
-    let mut checksum_handles = Vec::new();
-    for (a, decl) in tp.program.arrays.iter().enumerate() {
-        let dims: Vec<i64> = decl.dims.iter().map(|d| d.resolve(params)).collect();
-        let len = u64::try_from(dims.iter().product::<i64>()).expect("positive size");
-        let (store, fh, ch) = durable_store(medium, a, &decl.name, len, dur, faults)?;
-        fault_handles.push(fh);
-        checksum_handles.push(ch);
-        arrays.push(OocArray::new(
-            &decl.name,
-            &dims,
-            tp.layouts[a].clone(),
-            store,
-            cfg.runtime,
-        ));
-    }
-    Ok((arrays, fault_handles, checksum_handles))
-}
-
-/// Stamps the ledger's executor label and array-name table for a
-/// durable run, when a recorder is attached.
-fn register_ledger_arrays(
-    cfg: &FunctionalConfig,
-    arrays: &[OocArray<DurableStore>],
-    executor: &str,
-) {
-    if let Some(rec) = &cfg.ledger {
-        rec.set_executor(executor);
-        for (a, arr) in arrays.iter().enumerate() {
-            rec.set_array(u32::try_from(a).expect("array index"), arr.name());
-        }
-    }
-}
-
-/// Feeds each array's checksum-sidecar traffic into the ledger's
-/// `ChecksumOverhead` channel. Called after the run finishes, so the
-/// figure covers all integrity traffic since the post-seed metrics
-/// reset — including verification of the final result dump. Sidecar
-/// bytes live outside the conservation law by construction: the data
-/// store's own metrics never see them.
-fn record_sidecar(ledger: Option<&LedgerRecorder>, handles: &[ChecksumHandle]) {
-    if let Some(rec) = ledger {
-        for (a, ch) in handles.iter().enumerate() {
-            let (calls, elems) = ch.sidecar_io();
-            rec.add_sidecar(u32::try_from(a).expect("array index"), calls, elems);
-        }
-    }
-}
-
-/// Ledger context of the durable tile walk: the walk-local touch
-/// tracker plus the attached recorder, if any. Bundled so
-/// [`durable_write`] and [`flush_written`] can stamp provenance
-/// without growing every signature by three parameters.
-struct WalkLedger<'a> {
-    tracker: TouchTracker,
-    rec: Option<&'a LedgerRecorder>,
-}
-
-/// Journaled tile write-back: intent (with the staged pre-image) →
-/// data write → commit. The pre-image read lands in the ledger as
-/// `ReplayRead` (journal-protocol traffic, not a data reuse) and the
-/// data write classifies as `WriteBack`/`WriteRewrite`; the journal
-/// record itself carries the new data plus the pre-image.
-fn durable_write(
-    arrays: &mut [OocArray<DurableStore>],
-    a: ArrayId,
-    journal: &SharedJournal,
-    tile: &Tile,
-    led: &mut WalkLedger<'_>,
-    nest: u32,
-    step: u64,
-) -> io::Result<()> {
-    let pre = arrays[a.0].read_tile(tile.region())?;
-    if let Some(rec) = led.rec {
-        let array = u32::try_from(a.0).expect("array index");
-        let calls = arrays[a.0].exact_tile_calls(tile.region());
-        let elems = tile.region().len() as u64;
-        rec.record(LedgerEvent {
-            array,
-            cause: IoCause::ReplayRead,
-            calls,
-            elems,
-            region: tile.region().clone(),
-            nest,
-            step,
-            evict: None,
-        });
-        let cause = led.tracker.classify_write(array, tile.region());
-        rec.record(LedgerEvent {
-            array,
-            cause,
-            calls,
-            elems,
-            region: tile.region().clone(),
-            nest,
-            step,
-            evict: None,
-        });
-        rec.add_journal_bytes(2 * elems * ELEM_BYTES);
-    }
-    let seq = journal.intent(
-        u32::try_from(a.0).expect("array index"),
-        tile.region(),
-        tile.data(),
-        pre.data(),
-    )?;
-    arrays[a.0].write_tile(tile)?;
-    journal.commit(seq)
-}
-
-/// Durably flushes every written resident tile and clears the whole
-/// residency map (so checkpoint boundaries carry no in-memory state —
-/// what a resumed run cannot reconstruct). Every drained tile ends its
-/// residency here, so a later re-read classifies as a capacity miss.
-fn flush_written(
-    arrays: &mut [OocArray<DurableStore>],
-    staging: &Staging,
-    tiles: &mut BTreeMap<(ArrayId, usize), Tile>,
-    journal: &SharedJournal,
-    led: &mut WalkLedger<'_>,
-    nest: u32,
-    step: u64,
-) -> io::Result<()> {
-    for ((a, slot), tile) in std::mem::take(tiles) {
-        if staging.slot_written(a, slot) {
-            durable_write(arrays, a, journal, &tile, led, nest, step)?;
-        }
-        led.tracker.note_evicted(
-            u32::try_from(a.0).expect("array index"),
-            tile.region(),
-            step,
-            None,
-        );
-    }
-    Ok(())
-}
-
-/// The shared durable tile walk of [`run_functional_durable`] and
-/// [`resume_functional`]: the synchronous executor's walk with
-/// journaled write-back, periodic checkpoints at tile-row boundaries,
-/// and boundary-driven step skipping on resume. Row accounting runs
-/// identically for skipped and executed steps, so a resumed run
-/// checkpoints at exactly the same `(nest, step)` points as an
-/// uninterrupted one.
-fn run_durable_loop(
-    tp: &TiledProgram,
-    params: &[i64],
-    cfg: &FunctionalConfig,
-    arrays: &mut [OocArray<DurableStore>],
-    session: &mut DurableSession,
-) -> io::Result<()> {
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, cfg.memory_fraction);
-    let interval = session.cfg.checkpoint_rows;
-    let mut led = WalkLedger {
-        tracker: TouchTracker::new(),
-        rec: cfg.ledger.as_ref(),
-    };
-
-    for (ni, tnest) in tp.nests.iter().enumerate() {
-        if session.skip_nest(ni) {
-            continue;
-        }
-        let nest = &tnest.nest;
-        let Some(ranges) = level_ranges(nest, params) else {
-            session.checkpoint(ni + 1, 0)?;
-            continue;
-        };
-        let spans = plan_spans(
-            nest,
-            tnest.strategy,
-            &tp.layouts,
-            &tp.program,
-            params,
-            &ranges,
-            &budget,
-            IoWeights::default(),
-            cfg.runtime.max_call_elems,
-        );
-        let (reads, writes) = rw_arrays(nest);
-        let touched: Vec<ArrayId> = {
-            let mut t = reads.clone();
-            for w in &writes {
-                if !t.contains(w) {
-                    t.push(*w);
-                }
+    dur: &DurabilityConfig,
+    resume: bool,
+) -> io::Result<DurableSession> {
+    let mut mlog = medium.manifest()?;
+    let mut jlog = medium.journal()?;
+    if resume {
+        let mscan = parse_manifest(&mlog.read_all()?);
+        if let Some(boundary) = mscan.boundary() {
+            let jscan = parse_journal(&jlog.read_all()?);
+            // A partial, newline-less final record would otherwise
+            // merge with this run's first append into one unparseable
+            // line, and a second crash recovery would lose every record
+            // from there on.
+            if jscan.torn_tail {
+                jlog.truncate_to(jscan.valid_len)?;
             }
-            t
-        };
-        let staging = Staging::for_nest(nest, &writes, &touched);
-        let bounds = nest.bounds.loop_bounds();
-        let start_g = session.start_step(ni);
-        let mut g: u64 = 0;
-        let mut rows_done: u64 = 0;
-        let _nest_span = ooc_trace::span("recovery", &format!("nest:{}", nest.name));
-
-        for _ in 0..nest.iterations {
-            let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
-            let mut last_row_lo: Option<i64> = None;
-            let mut io_err: Option<io::Error> = None;
-            walk_tiles(
-                &ranges,
-                &tnest.tiled_levels,
-                &spans,
-                ranges[0],
-                &mut |lo, hi| {
-                    if io_err.is_some() {
-                        return;
-                    }
-                    // Row accounting first — identical for skipped and
-                    // executed steps.
-                    if last_row_lo != Some(lo[0]) {
-                        if last_row_lo.is_some() {
-                            rows_done += 1;
-                            if g > start_g && interval > 0 && rows_done % interval == 0 {
-                                if let Err(e) = flush_written(
-                                    arrays,
-                                    &staging,
-                                    &mut tiles,
-                                    &session.journal,
-                                    &mut led,
-                                    ni as u32,
-                                    g,
-                                )
-                                .and_then(|()| session.checkpoint(ni, g))
-                                {
-                                    io_err = Some(e);
-                                    return;
-                                }
-                            }
-                        }
-                        last_row_lo = Some(lo[0]);
-                    }
-                    if g < start_g {
-                        g += 1;
-                        session.report.skipped_steps += 1;
-                        return;
-                    }
-                    for ((a, slot), region) in staging.regions(nest, lo, hi) {
-                        let region = region.clamped(arrays[a.0].dims());
-                        let key = (a, slot);
-                        let stale = tiles.get(&key).is_none_or(|t| t.region() != &region);
-                        if !stale {
-                            continue;
-                        }
-                        if let Some(old) = tiles.remove(&key) {
-                            if staging.slot_written(a, slot) {
-                                if let Err(e) = durable_write(
-                                    arrays,
-                                    a,
-                                    &session.journal,
-                                    &old,
-                                    &mut led,
-                                    ni as u32,
-                                    g,
-                                ) {
-                                    io_err = Some(e);
-                                    return;
-                                }
-                            }
-                            led.tracker.note_evicted(
-                                u32::try_from(a.0).expect("array index"),
-                                old.region(),
-                                g,
-                                None,
-                            );
-                        }
-                        match arrays[a.0].read_tile(&region) {
-                            Ok(t) => {
-                                if let Some(rec) = led.rec {
-                                    let array = u32::try_from(a.0).expect("array index");
-                                    let (cause, evict) = led.tracker.classify_read(array, &region);
-                                    rec.record(LedgerEvent {
-                                        array,
-                                        cause,
-                                        calls: arrays[a.0].exact_tile_calls(&region),
-                                        elems: region.len() as u64,
-                                        region: region.clone(),
-                                        nest: ni as u32,
-                                        step: g,
-                                        evict,
-                                    });
-                                }
-                                tiles.insert(key, t);
-                            }
-                            Err(e) => {
-                                io_err = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                    let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
-                    exec_box(
-                        nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
-                    );
-                    session.report.executed_steps += 1;
-                    g += 1;
-                },
-            );
-            if let Some(e) = io_err {
-                return Err(e);
+            if mscan.torn_tail {
+                mlog.truncate_to(mscan.valid_len)?;
             }
-            // End-of-iteration boundary: flush + checkpoint record.
-            if g > start_g {
-                flush_written(
-                    arrays,
-                    &staging,
-                    &mut tiles,
-                    &session.journal,
-                    &mut led,
-                    ni as u32,
-                    g,
-                )?;
-                session.checkpoint(ni, g)?;
-            }
+            return Ok(DurableSession::resumed(
+                SharedJournal::new(Journal::resume(jlog, jscan.next_seq)),
+                mlog,
+                *dur,
+                boundary,
+                jscan
+                    .intents_after(boundary.watermark)
+                    .into_iter()
+                    .cloned()
+                    .collect(),
+                jscan.torn_tail || mscan.torn_tail,
+            ));
         }
-        session.checkpoint(ni + 1, 0)?;
     }
-    Ok(())
+    jlog.truncate()?;
+    mlog.truncate()?;
+    Ok(DurableSession::fresh(
+        SharedJournal::new(Journal::new(jlog)),
+        mlog,
+        *dur,
+    ))
 }
 
-fn finish_functional(
-    mut arrays: Vec<OocArray<DurableStore>>,
-    session: DurableSession,
+/// What a durable walk produced, before it is wrapped into its
+/// executor's outcome type.
+struct Sealed<R> {
+    run: R,
+    report: RecoveryReport,
     fault_handles: Vec<Option<FaultHandle>>,
     checksum_handles: Vec<ChecksumHandle>,
-) -> io::Result<DurableOutcome> {
-    let profiles: Vec<ArrayProfile> = arrays
-        .iter()
-        .map(|arr| ArrayProfile {
-            name: arr.name().to_string(),
-            stats: arr.stats(),
-            measured: arr.measured(),
-            accesses: arr.access_log(),
-        })
-        .collect();
-    let mut data = Vec::with_capacity(arrays.len());
-    for arr in arrays.iter_mut() {
-        let region = Region::full(arr.dims());
-        data.push(arr.read_tile(&region)?.data().to_vec());
-    }
+}
+
+/// Drives one durable run: opens the session, runs `walk` over durable
+/// store stacks built on `medium`, and seals the report — journal
+/// traffic, checksum failures, and the checksum-sidecar traffic booked
+/// into the ledger's `ChecksumOverhead` channel. The sidecar figure
+/// covers all integrity traffic since the post-seed metrics reset,
+/// including verification of the final dump; sidecar bytes live
+/// outside the conservation law by construction (the data store's own
+/// metrics never see them).
+fn run_durable<R>(
+    medium: &mut dyn DurableMedium,
+    dur: &DurabilityConfig,
+    faults: &dyn Fn(usize) -> Option<FaultConfig>,
+    resume: bool,
+    ledger: Option<&LedgerRecorder>,
+    walk: impl FnOnce(
+        &mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
+        &mut DurableSession,
+    ) -> io::Result<R>,
+) -> io::Result<Sealed<R>> {
+    let mut session = open_session(medium, dur, resume)?;
+    let mut fault_handles = Vec::new();
+    let mut checksum_handles = Vec::new();
+    let run = walk(
+        &mut |a, name, len| {
+            let (store, fh, ch) = durable_store(medium, a, name, len, dur, faults)?;
+            fault_handles.push(fh);
+            checksum_handles.push(ch);
+            Ok(store)
+        },
+        &mut session,
+    )?;
     let mut report = session.report;
-    let (intents, commits) = session.journal.written();
-    report.journal_intents = intents;
-    report.journal_commits = commits;
+    (report.journal_intents, report.journal_commits) = session.journal.written();
     report.corrupt_reads = checksum_handles
         .iter()
         .map(ChecksumHandle::corrupt_reads)
         .sum();
-    Ok(DurableOutcome {
-        run: FunctionalRun { data, profiles },
+    if let Some(rec) = ledger {
+        for (a, ch) in checksum_handles.iter().enumerate() {
+            let (calls, elems) = ch.sidecar_io();
+            rec.add_sidecar(u32::try_from(a).expect("array index"), calls, elems);
+        }
+    }
+    Ok(Sealed {
+        run,
         report,
         fault_handles,
         checksum_handles,
     })
+}
+
+/// The sync walk over durable stores, fresh or resumed.
+#[allow(clippy::too_many_arguments)]
+fn durable_functional(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &FunctionalConfig,
+    dur: &DurabilityConfig,
+    medium: &mut dyn DurableMedium,
+    faults: &dyn Fn(usize) -> Option<FaultConfig>,
+    resume: bool,
+) -> io::Result<DurableOutcome> {
+    let out = run_durable(
+        medium,
+        dur,
+        faults,
+        resume,
+        cfg.ledger.as_ref(),
+        |make, s| {
+            let (span, label) = if s.report.resumed {
+                ("resume-functional", "durable-resume")
+            } else {
+                ("run-functional-durable", "durable")
+            };
+            let _span = ooc_trace::span("recovery", span);
+            run_functional_inner(tp, params, init, cfg, make, Some(s), label)
+        },
+    )?;
+    Ok(DurableOutcome {
+        run: out.run,
+        report: out.report,
+        fault_handles: out.fault_handles,
+        checksum_handles: out.checksum_handles,
+    })
+}
+
+/// The `NestRun` engine over durable stores, fresh or resumed, with
+/// the durability counters folded into the merged pipeline stats.
+#[allow(clippy::too_many_arguments)]
+fn durable_nest_run(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &ParallelConfig,
+    dur: &DurabilityConfig,
+    medium: &mut dyn DurableMedium,
+    faults: &dyn Fn(usize) -> Option<FaultConfig>,
+    resume: bool,
+    exec: Executor,
+) -> io::Result<ParallelDurableOutcome> {
+    let ledger = cfg.pipeline.functional.ledger.as_ref();
+    let mut out = run_durable(medium, dur, faults, resume, ledger, |make, s| {
+        let span = if s.report.resumed {
+            format!("resume-{}", exec.name)
+        } else {
+            format!("exec-{}-durable", exec.name)
+        };
+        let _span = ooc_trace::span("recovery", &span);
+        exec_parallel_inner(tp, params, init, cfg, make, Some(s), exec)
+    })?;
+    let stats = &mut out.run.pipeline;
+    stats.journal_commits = out.report.journal_commits;
+    stats.recovery_replayed_tiles = out.report.rolled_back_tiles;
+    stats.corrupt_reads = out.report.corrupt_reads;
+    Ok(ParallelDurableOutcome {
+        run: out.run,
+        report: out.report,
+        fault_handles: out.fault_handles,
+        checksum_handles: out.checksum_handles,
+    })
+}
+
+/// A durable parallel outcome at one shard, as its pipelined twin.
+fn pipelined(out: ParallelDurableOutcome) -> PipelinedDurableOutcome {
+    PipelinedDurableOutcome {
+        run: PipelinedRun {
+            run: out.run.run,
+            pipeline: out.run.pipeline,
+        },
+        report: out.report,
+        fault_handles: out.fault_handles,
+        checksum_handles: out.checksum_handles,
+    }
 }
 
 /// Runs a tiled program durably from scratch: truncates the journal
@@ -1136,24 +992,7 @@ pub fn run_functional_durable(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<DurableOutcome> {
-    let _span = ooc_trace::span("recovery", "run-functional-durable");
-    let mut jlog = medium.journal()?;
-    jlog.truncate()?;
-    let mut mlog = medium.manifest()?;
-    mlog.truncate()?;
-    let (mut arrays, fault_handles, checksum_handles) =
-        build_arrays(tp, params, cfg, dur, medium, faults)?;
-    for (a, arr) in arrays.iter_mut().enumerate() {
-        arr.initialize(|idx| init(ArrayId(a), idx))?;
-        arr.reset_all_metrics();
-    }
-    register_ledger_arrays(cfg, &arrays, "durable");
-    let mut session = DurableSession::fresh(SharedJournal::new(Journal::new(jlog)), mlog, *dur);
-    session.begin()?;
-    run_durable_loop(tp, params, cfg, &mut arrays, &mut session)?;
-    let out = finish_functional(arrays, session, fault_handles, checksum_handles)?;
-    record_sidecar(cfg.ledger.as_ref(), &out.checksum_handles);
-    Ok(out)
+    durable_functional(tp, params, init, cfg, dur, medium, faults, false)
 }
 
 /// Resumes a crashed durable run: scans the manifest for the last
@@ -1178,118 +1017,7 @@ pub fn resume_functional(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<DurableOutcome> {
-    let mut mlog = medium.manifest()?;
-    let mscan = parse_manifest(&mlog.read_all()?);
-    let Some(boundary) = mscan.boundary() else {
-        // Nothing durable yet: the crash predated the seeded
-        // milestone; a fresh run re-seeds everything.
-        return run_functional_durable(tp, params, init, cfg, dur, medium, faults);
-    };
-    let _span = ooc_trace::span("recovery", "resume-functional");
-    let mut jlog = medium.journal()?;
-    let jscan = parse_journal(&jlog.read_all()?);
-    // Drop torn tails *before* appending: a partial, newline-less
-    // final record would otherwise merge with this run's first append
-    // into one unparseable line, and a second crash recovery would
-    // lose every record from there on.
-    if jscan.torn_tail {
-        jlog.truncate_to(jscan.valid_len)?;
-    }
-    if mscan.torn_tail {
-        mlog.truncate_to(mscan.valid_len)?;
-    }
-    let (mut arrays, fault_handles, checksum_handles) =
-        build_arrays(tp, params, cfg, dur, medium, faults)?;
-    for arr in arrays.iter_mut() {
-        arr.reset_all_metrics();
-    }
-    register_ledger_arrays(cfg, &arrays, "durable-resume");
-    let mut session = DurableSession::resumed(
-        SharedJournal::new(Journal::resume(jlog, jscan.next_seq)),
-        mlog,
-        *dur,
-        boundary,
-        jscan
-            .intents_after(boundary.watermark)
-            .into_iter()
-            .cloned()
-            .collect(),
-        jscan.torn_tail || mscan.torn_tail,
-    );
-    let rb_ledger = cfg.ledger.clone();
-    session.rollback_now(&mut |a, region, pre| {
-        let mut t = Tile::zeroed(region.clone());
-        if t.data().len() != pre.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "journal pre-image length mismatch",
-            ));
-        }
-        t.data_mut().copy_from_slice(pre);
-        if let Some(rec) = &rb_ledger {
-            rec.record(LedgerEvent {
-                array: a,
-                cause: IoCause::ReplayWrite,
-                calls: arrays[a as usize].exact_tile_calls(region),
-                elems: region.len() as u64,
-                region: region.clone(),
-                nest: 0,
-                step: 0,
-                evict: None,
-            });
-        }
-        arrays[a as usize].write_tile(&t)
-    })?;
-    run_durable_loop(tp, params, cfg, &mut arrays, &mut session)?;
-    let out = finish_functional(arrays, session, fault_handles, checksum_handles)?;
-    record_sidecar(cfg.ledger.as_ref(), &out.checksum_handles);
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_pipelined(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    mut session: DurableSession,
-) -> io::Result<PipelinedDurableOutcome> {
-    let mut fault_handles: Vec<Option<FaultHandle>> = Vec::new();
-    let mut checksum_handles: Vec<ChecksumHandle> = Vec::new();
-    let mut run = crate::pipeline::exec_pipelined_inner(
-        tp,
-        params,
-        init,
-        cfg,
-        |a, name, len| {
-            let (store, fh, ch) = durable_store(medium, a, name, len, dur, faults)?;
-            fault_handles.push(fh);
-            checksum_handles.push(ch);
-            Ok(store)
-        },
-        Some(&mut session),
-    )?;
-    let (intents, commits) = session.journal.written();
-    let mut report = session.report;
-    report.journal_intents = intents;
-    report.journal_commits = commits;
-    report.corrupt_reads = checksum_handles
-        .iter()
-        .map(ChecksumHandle::corrupt_reads)
-        .sum();
-    run.pipeline.journal_commits = commits;
-    run.pipeline.recovery_replayed_tiles = report.rolled_back_tiles;
-    run.pipeline.corrupt_reads = report.corrupt_reads;
-    record_sidecar(cfg.functional.ledger.as_ref(), &checksum_handles);
-    Ok(PipelinedDurableOutcome {
-        run,
-        report,
-        fault_handles,
-        checksum_handles,
-    })
+    durable_functional(tp, params, init, cfg, dur, medium, faults, true)
 }
 
 /// [`run_functional_durable`]'s pipelined sibling: the asynchronous
@@ -1312,18 +1040,11 @@ pub fn exec_pipelined_durable(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<PipelinedDurableOutcome> {
-    let _span = ooc_trace::span("recovery", "exec-pipelined-durable");
-    let mut jlog = medium.journal()?;
-    jlog.truncate()?;
-    let mut mlog = medium.manifest()?;
-    mlog.truncate()?;
-    let session = DurableSession::fresh(SharedJournal::new(Journal::new(jlog)), mlog, *dur);
-    let out = drive_pipelined(tp, params, init, cfg, dur, medium, faults, session)?;
-    // Last write wins over the inner executor's "pipelined" label.
-    if let Some(rec) = &cfg.functional.ledger {
-        rec.set_executor("durable-pipelined");
-    }
-    Ok(out)
+    let cfg = one_shard(cfg);
+    durable_nest_run(
+        tp, params, init, &cfg, dur, medium, faults, false, PIPELINED,
+    )
+    .map(pipelined)
 }
 
 /// Resumes a crashed durable *pipelined* run from its last consistent
@@ -1344,85 +1065,8 @@ pub fn resume_pipelined(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<PipelinedDurableOutcome> {
-    let mut mlog = medium.manifest()?;
-    let mscan = parse_manifest(&mlog.read_all()?);
-    let Some(boundary) = mscan.boundary() else {
-        return exec_pipelined_durable(tp, params, init, cfg, dur, medium, faults);
-    };
-    let _span = ooc_trace::span("recovery", "resume-pipelined");
-    let mut jlog = medium.journal()?;
-    let jscan = parse_journal(&jlog.read_all()?);
-    // See resume_functional: torn tails must be truncated before the
-    // resumed run appends, or a second recovery loses records.
-    if jscan.torn_tail {
-        jlog.truncate_to(jscan.valid_len)?;
-    }
-    if mscan.torn_tail {
-        mlog.truncate_to(mscan.valid_len)?;
-    }
-    let session = DurableSession::resumed(
-        SharedJournal::new(Journal::resume(jlog, jscan.next_seq)),
-        mlog,
-        *dur,
-        boundary,
-        jscan
-            .intents_after(boundary.watermark)
-            .into_iter()
-            .cloned()
-            .collect(),
-        jscan.torn_tail || mscan.torn_tail,
-    );
-    let out = drive_pipelined(tp, params, init, cfg, dur, medium, faults, session)?;
-    if let Some(rec) = &cfg.functional.ledger {
-        rec.set_executor("durable-pipelined-resume");
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_parallel(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    mut session: DurableSession,
-) -> io::Result<ParallelDurableOutcome> {
-    let mut fault_handles: Vec<Option<FaultHandle>> = Vec::new();
-    let mut checksum_handles: Vec<ChecksumHandle> = Vec::new();
-    let mut run = crate::parallel::exec_parallel_inner(
-        tp,
-        params,
-        init,
-        cfg,
-        |a, name, len| {
-            let (store, fh, ch) = durable_store(medium, a, name, len, dur, faults)?;
-            fault_handles.push(fh);
-            checksum_handles.push(ch);
-            Ok(store)
-        },
-        Some(&mut session),
-    )?;
-    let (intents, commits) = session.journal.written();
-    let mut report = session.report;
-    report.journal_intents = intents;
-    report.journal_commits = commits;
-    report.corrupt_reads = checksum_handles
-        .iter()
-        .map(ChecksumHandle::corrupt_reads)
-        .sum();
-    run.pipeline.journal_commits = commits;
-    run.pipeline.recovery_replayed_tiles = report.rolled_back_tiles;
-    run.pipeline.corrupt_reads = report.corrupt_reads;
-    record_sidecar(cfg.pipeline.functional.ledger.as_ref(), &checksum_handles);
-    Ok(ParallelDurableOutcome {
-        run,
-        report,
-        fault_handles,
-        checksum_handles,
-    })
+    let cfg = one_shard(cfg);
+    durable_nest_run(tp, params, init, &cfg, dur, medium, faults, true, PIPELINED).map(pipelined)
 }
 
 /// [`exec_pipelined_durable`]'s parallel sibling: every shard worker's
@@ -1446,18 +1090,7 @@ pub fn exec_parallel_durable(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<ParallelDurableOutcome> {
-    let _span = ooc_trace::span("recovery", "exec-parallel-durable");
-    let mut jlog = medium.journal()?;
-    jlog.truncate()?;
-    let mut mlog = medium.manifest()?;
-    mlog.truncate()?;
-    let session = DurableSession::fresh(SharedJournal::new(Journal::new(jlog)), mlog, *dur);
-    let out = drive_parallel(tp, params, init, cfg, dur, medium, faults, session)?;
-    // Last write wins over the inner executor's "parallel" label.
-    if let Some(rec) = &cfg.pipeline.functional.ledger {
-        rec.set_executor("durable-parallel");
-    }
-    Ok(out)
+    durable_nest_run(tp, params, init, cfg, dur, medium, faults, false, PARALLEL)
 }
 
 /// Resumes a crashed durable *parallel* run from its last consistent
@@ -1481,39 +1114,7 @@ pub fn resume_parallel(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<ParallelDurableOutcome> {
-    let mut mlog = medium.manifest()?;
-    let mscan = parse_manifest(&mlog.read_all()?);
-    let Some(boundary) = mscan.boundary() else {
-        return exec_parallel_durable(tp, params, init, cfg, dur, medium, faults);
-    };
-    let _span = ooc_trace::span("recovery", "resume-parallel");
-    let mut jlog = medium.journal()?;
-    let jscan = parse_journal(&jlog.read_all()?);
-    // See resume_functional: torn tails must be truncated before the
-    // resumed run appends, or a second recovery loses records.
-    if jscan.torn_tail {
-        jlog.truncate_to(jscan.valid_len)?;
-    }
-    if mscan.torn_tail {
-        mlog.truncate_to(mscan.valid_len)?;
-    }
-    let session = DurableSession::resumed(
-        SharedJournal::new(Journal::resume(jlog, jscan.next_seq)),
-        mlog,
-        *dur,
-        boundary,
-        jscan
-            .intents_after(boundary.watermark)
-            .into_iter()
-            .cloned()
-            .collect(),
-        jscan.torn_tail || mscan.torn_tail,
-    );
-    let out = drive_parallel(tp, params, init, cfg, dur, medium, faults, session)?;
-    if let Some(rec) = &cfg.pipeline.functional.ledger {
-        rec.set_executor("durable-parallel-resume");
-    }
-    Ok(out)
+    durable_nest_run(tp, params, init, cfg, dur, medium, faults, true, PARALLEL)
 }
 
 /// A [`DurableMedium`] whose per-array **data** stores are striped

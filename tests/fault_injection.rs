@@ -121,10 +121,55 @@ fn without_retries_faults_are_fatal() {
             ))
         })
     });
-    // Either the seeding phase reports the error or the staging loop
-    // panics on it; it must not silently succeed.
-    if let Ok(Ok(_)) = result {
-        panic!("run without retries survived injected faults");
+    // The run must neither silently succeed nor panic: the fault
+    // surfaces as an I/O error from seeding or from the staging loop.
+    assert!(
+        matches!(result, Ok(Err(_))),
+        "run without retries must fail with an I/O error, not succeed or panic"
+    );
+
+    // A non-transient fault placed halfway through the busiest array's
+    // store calls — past seeding, inside the tile walk — surfaces from
+    // the staging loop as an error as well.
+    let mut handles: Vec<FaultHandle> = Vec::new();
+    run_functional_on(
+        &cv.tiled,
+        &k.small_params,
+        &seed,
+        &FunctionalConfig::default(),
+        |_, _, len| {
+            let fs = FaultStore::new(MemStore::new(len), FaultConfig::transient(0, 0));
+            handles.push(fs.handle());
+            Ok(fs)
+        },
+    )
+    .expect("fault-free run");
+    let (busiest, calls) = handles
+        .iter()
+        .map(FaultHandle::calls)
+        .enumerate()
+        .max_by_key(|&(_, c)| c)
+        .expect("arrays");
+    let result = std::panic::catch_unwind(|| {
+        run_functional_on(
+            &cv.tiled,
+            &k.small_params,
+            &seed,
+            &FunctionalConfig::default(),
+            |a, _, len| {
+                let fc = if a == busiest {
+                    FaultConfig::crash_at(calls / 2)
+                } else {
+                    FaultConfig::transient(0, 0)
+                };
+                Ok(FaultStore::new(MemStore::new(len), fc))
+            },
+        )
+    });
+    match result {
+        Ok(Err(e)) => assert!(is_crashed(&e), "unexpected error: {e}"),
+        Ok(Ok(_)) => panic!("a crash inside the tile walk went unnoticed"),
+        Err(_) => panic!("a staging I/O error panicked instead of returning"),
     }
 }
 
