@@ -393,6 +393,7 @@ mod tests {
 
     #[test]
     fn one_cell_conserves_and_names_a_critical_path() {
+        let _trace = crate::trace_test_lock();
         let k = kernel_by_name("trans").expect("kernel");
         let cell = run_analyze_cell(&k, Version::COpt, 8, 2, 4);
         assert_eq!(cell.report.timeline.shard_lanes(), 2);
@@ -408,6 +409,7 @@ mod tests {
 
     #[test]
     fn registration_gates_structure_not_timing() {
+        let _trace = crate::trace_test_lock();
         let k = kernel_by_name("trans").expect("kernel");
         let cell = run_analyze_cell(&k, Version::Col, 8, 2, 4);
         let r = Registry::new();
@@ -435,6 +437,7 @@ mod tests {
 
     #[test]
     fn efficiency_summary_has_one_row_per_version() {
+        let _trace = crate::trace_test_lock();
         let k = kernel_by_name("trans").expect("kernel");
         let cells = vec![
             run_analyze_cell(&k, Version::DOpt, 16, 1, 4),

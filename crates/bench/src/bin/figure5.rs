@@ -14,7 +14,7 @@
 use ooc_bench::trace::TraceScope;
 use ooc_bench::{interval_summary, recovery_register, run_recovery_demo, MetricsScope};
 use ooc_core::{
-    exec_pipelined_durable, resume_pipelined, DurabilityConfig, FunctionalConfig, MemMedium,
+    resume_functional, run_functional_durable, DurabilityConfig, FunctionalConfig, MemMedium,
     PipelineConfig,
 };
 use ooc_ir::ArrayId;
@@ -91,7 +91,7 @@ fn main() {
         ..PipelineConfig::default()
     };
     let mut clean = MemMedium::new();
-    let fresh = exec_pipelined_durable(
+    let fresh = run_functional_durable(
         &cv.tiled,
         &k.small_params,
         &seed,
@@ -103,7 +103,7 @@ fn main() {
     .expect("fresh pipelined durable run");
     let mut medium = MemMedium::new();
     // Probe run with a rate-0 wrap to size the crash index.
-    let probe = exec_pipelined_durable(
+    let probe = run_functional_durable(
         &cv.tiled,
         &k.small_params,
         &seed,
@@ -115,7 +115,7 @@ fn main() {
     .expect("probe run");
     let calls = probe.fault_handles[0].as_ref().map_or(0, |h| h.calls());
     let crash_at = (calls / 2).max(1);
-    let err = exec_pipelined_durable(
+    let err = run_functional_durable(
         &cv.tiled,
         &k.small_params,
         &seed,
@@ -126,7 +126,7 @@ fn main() {
     )
     .expect_err("injected crash must abort the pipelined run");
     assert!(is_crashed(&err), "unexpected error: {err}");
-    let out = resume_pipelined(
+    let out = resume_functional(
         &cv.tiled,
         &k.small_params,
         &seed,

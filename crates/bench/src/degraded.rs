@@ -305,7 +305,7 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
 fn assert_ledger_conserves(
     k: &Kernel,
     ledger: &ProvenanceLedger,
-    out: &ooc_core::ParallelDurableOutcome,
+    out: &ooc_core::DurableOutcome<ooc_core::ParallelRun>,
 ) {
     let stats: Vec<_> = out.run.run.profiles.iter().map(|p| p.stats).collect();
     if let Err(e) = ledger.check_conservation(&stats) {
@@ -402,6 +402,7 @@ mod tests {
 
     #[test]
     fn degraded_demo_survives_and_registers_deterministically() {
+        let _trace = crate::trace_test_lock();
         let demo = run_degraded_demo("trans", None);
         assert_eq!(demo.cells.len(), DEGRADED_NODES);
         assert_eq!(demo.sampled_kills.len(), 2, "{:?}", demo.sampled_kills);
@@ -446,6 +447,7 @@ mod tests {
 
     #[test]
     fn healthy_vs_degraded_diff_names_the_repair_causes() {
+        let _trace = crate::trace_test_lock();
         let diff = run_degraded_ledger_diff("trans", 1, &DiskParams::default());
         let text = diff.render();
         assert!(

@@ -52,3 +52,13 @@ pub use recovery::{
     interval_summary, recovery_register, run_recovery_demo, RecoveryCell, RecoveryDemo,
 };
 pub use reference::{paper_table2, paper_table3_entry, PAPER_TABLE3_KERNELS};
+
+/// Serializes this crate's tests that start the process-wide trace
+/// session or run instrumented code: spans a concurrent test emits
+/// would land in another test's live session.
+#[cfg(test)]
+pub(crate) fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -23,7 +23,7 @@
 //! polyhedron restricted to the tile); for the affine kernels of the
 //! paper every transformed nest is rectangular, making the walk exact.
 
-use crate::recovery::DurableSession;
+use crate::recovery::{journaled_write, record_journal_write, DurableSession};
 use crate::tiling::{
     access_classes, array_region, class_region, plan_spans, IoWeights, TiledProgram,
 };
@@ -627,28 +627,10 @@ pub fn run_functional(
     .data
 }
 
-/// [`run_functional`] over traced in-memory stores, so the result
-/// carries measured I/O alongside the analytic accounting.
-///
-/// # Panics
-/// Panics on internal inconsistencies (see [`run_functional`]).
-#[must_use]
-pub fn measure_functional(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &FunctionalConfig,
-) -> FunctionalRun {
-    run_functional_on(tp, params, init, cfg, |_, _, len| {
-        Ok(TracingStore::new(MemStore::new(len)))
-    })
-    .expect("in-memory measured execution")
-}
-
-/// [`measure_functional`] over profiled *and* traced in-memory stores,
-/// so each [`ArrayProfile`] additionally carries the full
-/// access-pattern call trace (`accesses`) for seek/run analysis and
-/// heatmap rendering.
+/// [`run_functional`] over profiled *and* traced in-memory stores, so
+/// each [`ArrayProfile`] carries measured I/O alongside the analytic
+/// accounting, plus the full access-pattern call trace (`accesses`)
+/// for seek/run analysis and heatmap rendering.
 ///
 /// # Panics
 /// Panics on internal inconsistencies (see [`run_functional`]).
@@ -1024,25 +1006,14 @@ impl<S: Store> SyncIo<'_, S> {
             let arr = &mut self.arrays[a.0];
             let _s = ooc_trace::enabled()
                 .then(|| ooc_trace::span("runtime", &format!("write-tile:{}", arr.name())));
-            let pre = match &self.journal {
-                Some(journal) => {
-                    let pre = arr.read_tile(region)?;
-                    let seq = journal.intent(a.0 as u32, region, tile.data(), pre.data())?;
-                    arr.write_tile(&tile)?;
-                    journal.commit(seq)?;
-                    true
-                }
-                None => {
-                    arr.write_tile(&tile)?;
-                    false
-                }
-            };
+            match &self.journal {
+                Some(journal) => journaled_write(journal, None, arr, a.0 as u32, &tile)?,
+                None => arr.write_tile(&tile)?,
+            }
             if let Some(rec) = self.ledger {
-                if pre {
-                    self.record(a, IoCause::ReplayRead, region, nest, step, None);
-                    // The intent record carries the new data plus the
-                    // pre-image.
-                    rec.add_journal_bytes(2 * region.len() as u64 * ELEM_BYTES);
+                if self.journal.is_some() {
+                    let arr = &self.arrays[a.0];
+                    record_journal_write(rec, arr, a.0 as u32, region, nest as u32, step);
                 }
                 let cause = self.tracker.classify_write(a.0 as u32, region);
                 self.record(a, cause, region, nest, step, None);

@@ -29,7 +29,10 @@
 //! 10. [`recovery`] — crash-consistent execution: per-tile-region
 //!     checksums, a write intent journal, checkpoint manifests at
 //!     tile-row boundaries, and checkpoint/restart that recovers a
-//!     crashed run bit-equal to an uninterrupted one.
+//!     crashed run bit-equal to an uninterrupted one. One call pair,
+//!     [`run_functional_durable`] / [`resume_functional`], drives every
+//!     durable run; the walk config passed in picks the walk
+//!     ([`DurableWalk`]).
 //! 11. [`parallel`] — the measured multi-node executor: nests
 //!     partitioned by tile-walk ownership at their communication-free
 //!     level and driven by worker threads over shared (typically
@@ -80,9 +83,9 @@ pub mod tiling;
 pub use codegen::{render_tiled_nest, render_tiled_program};
 pub use cost::{default_layouts, nest_cost, order_by_cost};
 pub use exec::{
-    build_workload, max_divergence_from_reference, measure_functional, profile_functional,
-    run_functional, run_functional_on, simulate, ArrayProfile, ExecConfig, FunctionalConfig,
-    FunctionalRun, SimReport,
+    build_workload, max_divergence_from_reference, profile_functional, run_functional,
+    run_functional_on, simulate, ArrayProfile, ExecConfig, FunctionalConfig, FunctionalRun,
+    SimReport,
 };
 pub use global::{layout_candidates, optimize_global, GlobalOptions, GlobalResult};
 pub use interference::{Component, InterferenceGraph};
@@ -97,11 +100,10 @@ pub use optimizer::{
 pub use parallel::{exec_parallel, ownership_level, ParallelConfig, ParallelRun, PartitionSummary};
 pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig, PipelinedRun};
 pub use recovery::{
-    exec_parallel_durable, exec_pipelined_durable, max_intents_per_interval, parse_manifest,
-    resume_functional, resume_parallel, resume_pipelined, run_functional_durable,
+    max_intents_per_interval, parse_manifest, resume_functional, run_functional_durable,
     run_parallel_surviving_node_loss, Boundary, DirMedium, DurabilityConfig, DurableMedium,
-    DurableOutcome, DurableStore, ManifestRecord, ManifestScan, MemMedium, NodeLossOutcome,
-    NodeLossReport, ParallelDurableOutcome, PipelinedDurableOutcome, RecoveryReport, StripedMedium,
+    DurableOutcome, DurableStore, DurableWalk, ManifestRecord, ManifestScan, MemMedium,
+    NodeLossOutcome, NodeLossReport, RecoveryReport, StripedMedium,
 };
 pub use report::{optimization_report, IoComparison, NestReport, OptimizationReport, RefReport};
 pub use storage::{bounding_box, reduce_storage, StorageReduction};

@@ -8,10 +8,11 @@
 //!
 //! This module holds the only loop that runs the engine. At one shard
 //! every nest takes the serial path, which is exactly the pipelined
-//! executor: [`exec_pipelined`](crate::pipeline::exec_pipelined) and
-//! its durable siblings run that loop with `shards: 1` and the
-//! pipelined identity (trace span `exec-pipelined`, ledger labels
-//! `pipelined` / `durable-pipelined` / `durable-pipelined-resume`).
+//! executor: [`exec_pipelined`](crate::pipeline::exec_pipelined), and
+//! the durable call pair driven by a [`PipelineConfig`], run that loop
+//! with `shards: 1` and the pipelined identity (trace span
+//! `exec-pipelined`, ledger labels `pipelined` / `durable-pipelined` /
+//! `durable-pipelined-resume`).
 //!
 //! # Partitioning
 //!
@@ -54,7 +55,9 @@
 //!
 //! # Durability
 //!
-//! A durable run attaches a `DurableSession`: every worker's
+//! A durable run — [`run_functional_durable`](crate::recovery::run_functional_durable)
+//! / [`resume_functional`](crate::recovery::resume_functional) with a
+//! [`ParallelConfig`] — attaches a `DurableSession`: every worker's
 //! write-behind sink journals intents against the shared session and
 //! commits them through its own fence. Multi-shard nests checkpoint at
 //! **iteration barriers** (all shards joined, all queues flushed) with

@@ -9,8 +9,10 @@
 //! One loop in [`crate::parallel`] runs the engine and serves both
 //! public executors: [`exec_pipelined`] is the engine at one
 //! shard, `exec_parallel` runs it at N shards. Durability is an
-//! optional session that loop threads through (see
-//! [`crate::recovery`]).
+//! optional session that loop threads through: the durable call pair
+//! in [`crate::recovery`] runs the engine when handed a
+//! [`PipelineConfig`] or a
+//! [`ParallelConfig`](crate::parallel::ParallelConfig).
 //!
 //! ## Why the overlap is safe (bit-equality argument)
 //!
@@ -43,7 +45,7 @@
 
 use crate::exec::{exec_box, level_ranges, walk_tiles, FunctionalConfig, FunctionalRun, Staging};
 use crate::parallel::{exec_parallel_inner, one_shard, PIPELINED};
-use crate::recovery::DurableSession;
+use crate::recovery::{journaled_write, record_journal_write, DurableSession, PendingIntents};
 use crate::tiling::{plan_spans, IoWeights, TiledProgram};
 use ooc_ir::ArrayId;
 use ooc_runtime::{
@@ -56,7 +58,6 @@ use ooc_sched::{
 };
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Mutex};
 
 /// Configuration of the pipelined executor.
 #[derive(Debug, Clone)]
@@ -261,24 +262,20 @@ impl<S: Store + Send> TileSink for SharedTileSink<S> {
 struct DurableSink<S: Store> {
     arrays: Vec<OocArray<SharedStore<S>>>,
     journal: SharedJournal,
-    pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
+    pending: PendingIntents,
 }
 
 impl<S: Store + Send> TileSink for DurableSink<S> {
     fn store(&mut self, id: &TileId, tile: &Tile) -> io::Result<IoStats> {
         let arr = &mut self.arrays[id.key.array as usize];
         arr.reset_stats();
-        let pre = arr.read_tile(&id.region)?;
-        let seq = self
-            .journal
-            .intent(id.key.array, &id.region, tile.data(), pre.data())?;
-        self.pending
-            .lock()
-            .expect("pending intents")
-            .entry(id.clone())
-            .or_default()
-            .push(seq);
-        arr.write_tile(tile)?;
+        journaled_write(
+            &self.journal,
+            Some((&self.pending, id)),
+            arr,
+            id.key.array,
+            tile,
+        )?;
         Ok(arr.stats())
     }
 }
@@ -312,29 +309,16 @@ fn retire<S: Store>(
     if let Some(rec) = ledger {
         let a = id.key.array;
         let region = tile.region();
-        let calls = arrays[a as usize].exact_tile_calls(region);
-        let elems = region.len() as u64;
+        let arr = &arrays[a as usize];
         if journal.is_some() {
-            rec.record(LedgerEvent {
-                array: a,
-                cause: IoCause::ReplayRead,
-                calls,
-                elems,
-                region: region.clone(),
-                nest,
-                step,
-                evict: None,
-            });
-            // The intent record carries the new data plus the
-            // pre-image.
-            rec.add_journal_bytes(2 * elems * ooc_runtime::ELEM_BYTES);
+            record_journal_write(rec, arr, a, region, nest, step);
         }
         let cause = tracker.classify_write(a, region);
         rec.record(LedgerEvent {
             array: a,
             cause,
-            calls,
-            elems,
+            calls: arr.exact_tile_calls(region),
+            elems: region.len() as u64,
             region: region.clone(),
             nest,
             step,
@@ -352,13 +336,9 @@ fn retire<S: Store>(
         None => {
             let _sync = ooc_trace::enabled().then(|| ooc_trace::span("pipeline", "sync-write"));
             let arr = &mut arrays[id.key.array as usize];
-            if let Some(journal) = journal {
-                let pre = arr.read_tile(&id.region)?;
-                let seq = journal.intent(id.key.array, &id.region, tile.data(), pre.data())?;
-                arr.write_tile(&tile)?;
-                journal.commit(seq)?;
-            } else {
-                arr.write_tile(&tile)?;
+            match journal {
+                Some(journal) => journaled_write(journal, None, arr, id.key.array, &tile)?,
+                None => arr.write_tile(&tile)?,
             }
         }
     }
@@ -470,12 +450,29 @@ fn record_sync_read<S: Store + Send + 'static>(
     }
 }
 
+/// Stages a read tile on the worker's own thread, counted as a sync
+/// read; `g` is the nest-local step, `base + g` the run-global one.
+fn sync_read<S: Store + Send + 'static>(
+    w: &mut ShardWorker<S>,
+    ni: usize,
+    base: u64,
+    g: u64,
+    id: &TileId,
+) -> io::Result<Tile> {
+    w.stats.sync_reads += 1;
+    let _sync = ooc_trace::enabled()
+        .then(|| ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())]));
+    let t = w.arrays[id.key.array as usize].read_tile(&id.region)?;
+    record_sync_read(w, ni, base + g, id.key.array, &t);
+    Ok(t)
+}
+
 /// The durability plumbing one executor thread's write path needs,
 /// cloned off a `DurableSession` (the fence is per-worker: each
 /// write-behind queue commits its own tiles' intents).
 pub(crate) struct DurableHooks {
     pub(crate) journal: SharedJournal,
-    pub(crate) pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
+    pub(crate) pending: PendingIntents,
     pub(crate) fence: Box<dyn ooc_sched::DurabilityFence>,
 }
 
@@ -694,29 +691,7 @@ impl<'a> NestRun<'a> {
                 if d.cfg.checkpoint_rows > 0 && self.rows_done % d.cfg.checkpoint_rows == 0 {
                     let _ckpt =
                         ooc_trace::enabled().then(|| ooc_trace::span("durable", "checkpoint"));
-                    for (key, tile) in std::mem::take(&mut self.written_tiles) {
-                        let id = TileId {
-                            key: SlotKey {
-                                array: u32::try_from(key.0 .0).expect("array index"),
-                                slot: u32::try_from(key.1).expect("slot index"),
-                            },
-                            region: tile.region().clone(),
-                        };
-                        retire(
-                            w.wb.as_ref(),
-                            &mut w.arrays,
-                            &mut w.stats,
-                            w.sync_journal.as_ref(),
-                            (
-                                &mut w.tracker,
-                                w.ledger.as_ref(),
-                                self.ni as u32,
-                                self.base + g,
-                            ),
-                            id,
-                            tile,
-                        )?;
-                    }
+                    self.retire_written(w, g)?;
                     if let Some(wb) = &w.wb {
                         wb.flush()?;
                     }
@@ -821,26 +796,12 @@ impl<'a> NestRun<'a> {
                         record_prefetched(w, self.ni, self.base + g, id.key.array, &t, &fstats);
                         t
                     }
-                    None => {
-                        w.stats.sync_reads += 1;
-                        let _sync = ooc_trace::enabled().then(|| {
-                            ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())])
-                        });
-                        let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                        record_sync_read(w, self.ni, self.base + g, id.key.array, &t);
-                        t
-                    }
+                    None => sync_read(w, self.ni, self.base, g, id)?,
                 }
             } else {
                 // Never issued (prefetch off, window miss, or
                 // failed fetch): read on the main thread.
-                w.stats.sync_reads += 1;
-                let _sync = ooc_trace::enabled().then(|| {
-                    ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())])
-                });
-                let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                record_sync_read(w, self.ni, self.base + g, id.key.array, &t);
-                t
+                sync_read(w, self.ni, self.base, g, id)?
             };
             tiles.insert(key, tile);
         }
@@ -952,29 +913,7 @@ impl<'a> NestRun<'a> {
         // executor writes them back here too), then an iteration
         // checkpoint for durable runs.
         if (g + 1) % self.n == 0 {
-            for (key, tile) in std::mem::take(&mut self.written_tiles) {
-                let id = TileId {
-                    key: SlotKey {
-                        array: u32::try_from(key.0 .0).expect("array index"),
-                        slot: u32::try_from(key.1).expect("slot index"),
-                    },
-                    region: tile.region().clone(),
-                };
-                retire(
-                    w.wb.as_ref(),
-                    &mut w.arrays,
-                    &mut w.stats,
-                    w.sync_journal.as_ref(),
-                    (
-                        &mut w.tracker,
-                        w.ledger.as_ref(),
-                        self.ni as u32,
-                        self.base + g,
-                    ),
-                    id,
-                    tile,
-                )?;
-            }
+            self.retire_written(w, g)?;
             if let Some(d) = dur.as_deref_mut() {
                 let _ckpt = ooc_trace::enabled().then(|| ooc_trace::span("durable", "checkpoint"));
                 if let Some(wb) = &w.wb {
@@ -982,6 +921,39 @@ impl<'a> NestRun<'a> {
                 }
                 d.checkpoint(self.ni, g + 1)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Retires every resident written tile at step `g` (iteration end
+    /// or tile-row checkpoint).
+    fn retire_written<S: Store + Send + 'static>(
+        &mut self,
+        w: &mut ShardWorker<S>,
+        g: u64,
+    ) -> io::Result<()> {
+        for (key, tile) in std::mem::take(&mut self.written_tiles) {
+            let id = TileId {
+                key: SlotKey {
+                    array: u32::try_from(key.0 .0).expect("array index"),
+                    slot: u32::try_from(key.1).expect("slot index"),
+                },
+                region: tile.region().clone(),
+            };
+            retire(
+                w.wb.as_ref(),
+                &mut w.arrays,
+                &mut w.stats,
+                w.sync_journal.as_ref(),
+                (
+                    &mut w.tracker,
+                    w.ledger.as_ref(),
+                    self.ni as u32,
+                    self.base + g,
+                ),
+                id,
+                tile,
+            )?;
         }
         Ok(())
     }

@@ -12,12 +12,50 @@
 //! tiles.
 //!
 //! Durability is not a walk of its own: it is an optional
-//! `DurableSession` attached to one of the two tile walks — the sync
-//! walk ([`run_functional_durable`] / [`resume_functional`]) or the
-//! `NestRun` engine at one shard ([`exec_pipelined_durable`] /
-//! [`resume_pipelined`]) or N shards ([`exec_parallel_durable`] /
-//! [`resume_parallel`]). All six entry points share one session opener
-//! and one report sealer.
+//! `DurableSession` attached to one of the two tile walks. One call
+//! pair drives every durable run — [`run_functional_durable`] (fresh)
+//! and [`resume_functional`] (resume) — and the walk config the caller
+//! passes picks the walk ([`DurableWalk`]): [`FunctionalConfig`] runs
+//! the sync walk, [`PipelineConfig`] the `NestRun` engine at one shard
+//! and [`ParallelConfig`] it at N shards. Every run shares one session
+//! opener, one report sealer and one [`DurableOutcome`].
+//!
+//! ```
+//! use ooc_core::tiling::{TiledProgram, TilingStrategy};
+//! use ooc_core::{optimize, resume_functional, run_functional_durable, DurabilityConfig};
+//! use ooc_core::{FunctionalConfig, MemMedium, OptimizeOptions, PipelineConfig};
+//! use ooc_ir::{ArrayId, ArrayRef, Expr, LoopNest, Program, Statement};
+//! use ooc_runtime::{is_crashed, FaultConfig};
+//!
+//! // do i / do j: U(i,j) = V(j,i) + 1.0
+//! let mut p = Program::new(&["N"]);
+//! let u = p.declare_array("U", 2, 0);
+//! let v = p.declare_array("V", 2, 0);
+//! let vt = ArrayRef::new(v, &[vec![0, 1], vec![1, 0]], vec![0, 0]);
+//! let rhs = Expr::Add(Box::new(Expr::Ref(vt)), Box::new(Expr::Const(1.0)));
+//! let lhs = ArrayRef::new(u, &[vec![1, 0], vec![0, 1]], vec![0, 0]);
+//! p.add_nest(LoopNest::rectangular("nest1", 2, 1, 0, vec![Statement::assign(lhs, rhs)]));
+//! let opt = optimize(&p, &OptimizeOptions::default());
+//! let tp = TiledProgram::from_optimized(&opt, TilingStrategy::OutOfCore);
+//! let seed = |a: ArrayId, idx: &[i64]| (a.0 * 100) as f64 + (idx[0] * 17 + idx[1]) as f64;
+//! let (params, dur) = ([16i64], DurabilityConfig::default());
+//!
+//! // A fresh run of the sync walk: `FunctionalConfig` picks it.
+//! let mut clean = MemMedium::new();
+//! let cfg = FunctionalConfig::default();
+//! let fresh = run_functional_durable(&tp, &params, &seed, &cfg, &dur, &mut clean, &|_| None)?;
+//!
+//! // The pipelined walk, crashed mid-run and resumed by an explicit call.
+//! let (cfg, mut medium) = (PipelineConfig::default(), MemMedium::new());
+//! let crash = |a: usize| (a == 0).then(|| FaultConfig::crash_at(40));
+//! let err = run_functional_durable(&tp, &params, &seed, &cfg, &dur, &mut medium, &crash)
+//!     .expect_err("injected crash");
+//! assert!(is_crashed(&err));
+//! let out = resume_functional(&tp, &params, &seed, &cfg, &dur, &mut medium, &|_| None)?;
+//! assert!(out.report.resumed);
+//! assert_eq!(out.run.run.data, fresh.run.data);
+//! # Ok::<(), std::io::Error>(())
+//! ```
 //!
 //! Recovery scans the manifest for the last consistent boundary, rolls
 //! back every journal intent at or past the boundary's watermark
@@ -50,10 +88,10 @@ use ooc_runtime::{
     is_corrupt, node_down, parse_journal, rollback, ChecksumHandle, ChecksummedStore, DegradedMode,
     FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool, Journal,
     JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
-    NodeHealth, OocArray, RepairIo, ScrubReport, SharedJournal, SharedStore, Store, StripeConfig,
-    StripedStore, Tile, WriteIntent,
+    NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedJournal, SharedStore, Store,
+    StripeConfig, StripedStore, Tile, WriteIntent, ELEM_BYTES,
 };
-use ooc_sched::{DurabilityFence, TileId};
+use ooc_sched::{DurabilityFence, PipelineStats, TileId};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -155,23 +193,25 @@ impl MemMedium {
     }
 }
 
+/// The shared in-memory store of array `a`, created on first use.
+fn mem_store(
+    stores: &mut BTreeMap<usize, SharedStore<MemStore>>,
+    a: usize,
+    len: u64,
+) -> Box<dyn Store + Send> {
+    let s = stores
+        .entry(a)
+        .or_insert_with(|| SharedStore::new(MemStore::new(len)));
+    Box::new(s.clone())
+}
+
 impl DurableMedium for MemMedium {
     fn data(&mut self, a: usize, _name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
-        let s = self
-            .data
-            .entry(a)
-            .or_insert_with(|| SharedStore::new(MemStore::new(len)))
-            .clone();
-        Ok(Box::new(s))
+        Ok(mem_store(&mut self.data, a, len))
     }
 
     fn sidecar(&mut self, a: usize, _name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
-        let s = self
-            .sidecars
-            .entry(a)
-            .or_insert_with(|| SharedStore::new(MemStore::new(len)))
-            .clone();
-        Ok(Box::new(s))
+        Ok(mem_store(&mut self.sidecars, a, len))
     }
 
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>> {
@@ -469,44 +509,15 @@ impl RecoveryReport {
     }
 }
 
-/// Result of a durable functional run: the functional result plus the
-/// recovery report and the fault/checksum observability handles.
+/// Result of a durable run: the walk's result plus the recovery report
+/// and the fault/checksum observability handles. `R` is the run type of
+/// the walk config the run was driven by (see [`DurableWalk`]).
 #[derive(Debug)]
-pub struct DurableOutcome {
-    /// Contents and per-array profiles, as
-    /// [`run_functional_on`](crate::exec::run_functional_on) reports
-    /// them.
-    pub run: FunctionalRun,
-    /// Journal / checkpoint / recovery counters.
-    pub report: RecoveryReport,
-    /// Per-array fault handle when the array was fault-wrapped.
-    pub fault_handles: Vec<Option<FaultHandle>>,
-    /// Per-array checksum counters.
-    pub checksum_handles: Vec<ChecksumHandle>,
-}
-
-/// Result of a durable pipelined run.
-#[derive(Debug)]
-pub struct PipelinedDurableOutcome {
-    /// The pipelined result (bit-equal to the synchronous executor),
-    /// with the durability counters folded into its
-    /// [`PipelineStats`](ooc_sched::PipelineStats).
-    pub run: PipelinedRun,
-    /// Journal / checkpoint / recovery counters.
-    pub report: RecoveryReport,
-    /// Per-array fault handle when the array was fault-wrapped.
-    pub fault_handles: Vec<Option<FaultHandle>>,
-    /// Per-array checksum counters.
-    pub checksum_handles: Vec<ChecksumHandle>,
-}
-
-/// Result of a durable parallel run.
-#[derive(Debug)]
-pub struct ParallelDurableOutcome {
-    /// The parallel result (bit-equal to the single-threaded
-    /// executors), with the durability counters folded into its merged
-    /// [`PipelineStats`](ooc_sched::PipelineStats).
-    pub run: ParallelRun,
+pub struct DurableOutcome<R = FunctionalRun> {
+    /// The walk's result, bit-equal to a plain run of the same
+    /// executor. `NestRun`-engine results carry the durability counters
+    /// folded into their [`PipelineStats`].
+    pub run: R,
     /// Journal / checkpoint / recovery counters.
     pub report: RecoveryReport,
     /// Per-array fault handle when the array was fault-wrapped.
@@ -540,13 +551,69 @@ pub fn max_intents_per_interval(scan: &JournalScan, watermarks: &[u64]) -> BTree
     out
 }
 
+/// Journal intent sequences a write-behind sink parked per tile,
+/// awaiting their durability-fence commit.
+pub(crate) type PendingIntents = Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>;
+
+/// The journal write protocol of every durable write-back: read the
+/// pre-image, append the intent, write the tile, then commit the
+/// intent — or, on a write-behind sink (`park` set), park its sequence
+/// under the tile's id for the durability fence to commit once the
+/// tile settles.
+pub(crate) fn journaled_write<T: Store>(
+    journal: &SharedJournal,
+    park: Option<(&PendingIntents, &TileId)>,
+    arr: &mut OocArray<T>,
+    array: u32,
+    tile: &Tile,
+) -> io::Result<()> {
+    let pre = arr.read_tile(tile.region())?;
+    let seq = journal.intent(array, tile.region(), tile.data(), pre.data())?;
+    arr.write_tile(tile)?;
+    match park {
+        Some((pending, id)) => pending
+            .lock()
+            .expect("pending intents")
+            .entry(id.clone())
+            .or_default()
+            .push(seq),
+        None => journal.commit(seq)?,
+    }
+    Ok(())
+}
+
+/// Books the journal side of a journaled write-back of `region`: the
+/// pre-image read as [`IoCause::ReplayRead`], and the intent record —
+/// the new data plus the pre-image — as journal bytes.
+pub(crate) fn record_journal_write<T: Store>(
+    rec: &LedgerRecorder,
+    arr: &OocArray<T>,
+    array: u32,
+    region: &Region,
+    nest: u32,
+    step: u64,
+) {
+    let elems = region.len() as u64;
+    rec.record(LedgerEvent {
+        array,
+        cause: IoCause::ReplayRead,
+        calls: arr.exact_tile_calls(region),
+        elems,
+        region: region.clone(),
+        nest,
+        step,
+        evict: None,
+    });
+    rec.add_journal_bytes(2 * elems * ELEM_BYTES);
+}
+
 /// The durability fence handed to `WriteBehind`: after the sink lands
 /// a tile's data, commit the journal intent the sink recorded for it —
 /// so `wait_clear`/`flush` reporting a region clear implies its commit
 /// record is durably in the journal.
 struct JournalFence {
     journal: SharedJournal,
-    pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
+    pending: PendingIntents,
 }
 
 impl DurabilityFence for JournalFence {
@@ -591,7 +658,7 @@ pub(crate) struct DurableSession {
     pub(crate) skip_seed: bool,
     rollback_intents: Vec<WriteIntent>,
     /// Intent sequences awaiting their write-behind fence commit.
-    pub(crate) pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
+    pub(crate) pending: PendingIntents,
     /// Counters filled as the run progresses.
     pub(crate) report: RecoveryReport,
 }
@@ -824,59 +891,187 @@ fn open_session(
     ))
 }
 
-/// What a durable walk produced, before it is wrapped into its
-/// executor's outcome type.
-struct Sealed<R> {
-    run: R,
-    report: RecoveryReport,
-    fault_handles: Vec<Option<FaultHandle>>,
-    checksum_handles: Vec<ChecksumHandle>,
+mod sealed {
+    use super::{DurableSession, DurableStore, DurableWalk, RecoveryReport};
+    use crate::tiling::TiledProgram;
+    use ooc_ir::ArrayId;
+    use ooc_runtime::LedgerRecorder;
+    use std::io;
+
+    /// Everything a durable walk runs over: the program and its seed,
+    /// a builder of durable store stacks on the medium, and the open
+    /// session.
+    pub struct WalkArgs<'a> {
+        pub(crate) tp: &'a TiledProgram,
+        pub(crate) params: &'a [i64],
+        pub(crate) init: &'a dyn Fn(ArrayId, &[i64]) -> f64,
+        pub(crate) make: &'a mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
+        pub(crate) session: &'a mut DurableSession,
+    }
+
+    /// The crate-private half of [`DurableWalk`].
+    pub trait Walk {
+        /// The provenance ledger the walk records into.
+        fn ledger(&self) -> Option<&LedgerRecorder>;
+
+        /// Runs the walk under the session.
+        fn walk(&self, args: WalkArgs<'_>) -> io::Result<<Self as DurableWalk>::Run>
+        where
+            Self: DurableWalk;
+
+        /// Folds the sealed report's counters into the run's own stats.
+        fn fold(_run: &mut <Self as DurableWalk>::Run, _report: &RecoveryReport)
+        where
+            Self: DurableWalk,
+        {
+        }
+    }
 }
 
-/// Drives one durable run: opens the session, runs `walk` over durable
-/// store stacks built on `medium`, and seals the report — journal
-/// traffic, checksum failures, and the checksum-sidecar traffic booked
-/// into the ledger's `ChecksumOverhead` channel. The sidecar figure
-/// covers all integrity traffic since the post-seed metrics reset,
-/// including verification of the final dump; sidecar bytes live
+use sealed::WalkArgs;
+
+/// A walk configuration that drives a durable run: the config type the
+/// caller passes picks the walk, its trace spans and its ledger labels.
+///
+/// | Config | Walk | Run type | Spans (fresh / resume) | Ledger labels |
+/// |---|---|---|---|---|
+/// | [`FunctionalConfig`] | the sync walk | [`FunctionalRun`] | `run-functional-durable` / `resume-functional` | `durable` / `durable-resume` |
+/// | [`PipelineConfig`] | `NestRun` engine at one shard | [`PipelinedRun`] | `exec-pipelined-durable` / `resume-pipelined` | `durable-pipelined` / `durable-pipelined-resume` |
+/// | [`ParallelConfig`] | `NestRun` engine at `shards` | [`ParallelRun`] | `exec-parallel-durable` / `resume-parallel` | `durable-parallel` / `durable-parallel-resume` |
+///
+/// The trait is sealed: these three configs are its only impls.
+pub trait DurableWalk: sealed::Walk {
+    /// What a run of this walk returns.
+    type Run: std::fmt::Debug;
+}
+
+impl sealed::Walk for FunctionalConfig {
+    fn ledger(&self) -> Option<&LedgerRecorder> {
+        self.ledger.as_ref()
+    }
+
+    fn walk(&self, w: WalkArgs<'_>) -> io::Result<FunctionalRun> {
+        let (span, label) = if w.session.report.resumed {
+            ("resume-functional", "durable-resume")
+        } else {
+            ("run-functional-durable", "durable")
+        };
+        let _span = ooc_trace::span("recovery", span);
+        run_functional_inner(w.tp, w.params, w.init, self, w.make, Some(w.session), label)
+    }
+}
+
+impl DurableWalk for FunctionalConfig {
+    type Run = FunctionalRun;
+}
+
+impl sealed::Walk for PipelineConfig {
+    fn ledger(&self) -> Option<&LedgerRecorder> {
+        self.functional.ledger.as_ref()
+    }
+
+    fn walk(&self, w: WalkArgs<'_>) -> io::Result<PipelinedRun> {
+        let run = nest_walk(&one_shard(self), PIPELINED, w)?;
+        Ok(PipelinedRun {
+            run: run.run,
+            pipeline: run.pipeline,
+        })
+    }
+
+    fn fold(run: &mut PipelinedRun, report: &RecoveryReport) {
+        fold_stats(&mut run.pipeline, report);
+    }
+}
+
+impl DurableWalk for PipelineConfig {
+    type Run = PipelinedRun;
+}
+
+impl sealed::Walk for ParallelConfig {
+    fn ledger(&self) -> Option<&LedgerRecorder> {
+        self.pipeline.functional.ledger.as_ref()
+    }
+
+    fn walk(&self, w: WalkArgs<'_>) -> io::Result<ParallelRun> {
+        nest_walk(self, PARALLEL, w)
+    }
+
+    fn fold(run: &mut ParallelRun, report: &RecoveryReport) {
+        fold_stats(&mut run.pipeline, report);
+    }
+}
+
+impl DurableWalk for ParallelConfig {
+    type Run = ParallelRun;
+}
+
+/// The `NestRun` engine under a durable session, reporting as `exec`.
+fn nest_walk(cfg: &ParallelConfig, exec: Executor, w: WalkArgs<'_>) -> io::Result<ParallelRun> {
+    let span = if w.session.report.resumed {
+        format!("resume-{}", exec.name)
+    } else {
+        format!("exec-{}-durable", exec.name)
+    };
+    let _span = ooc_trace::span("recovery", &span);
+    exec_parallel_inner(w.tp, w.params, w.init, cfg, w.make, Some(w.session), exec)
+}
+
+/// Folds the sealed report's durability counters into the engine's
+/// merged pipeline stats.
+fn fold_stats(stats: &mut PipelineStats, report: &RecoveryReport) {
+    stats.journal_commits = report.journal_commits;
+    stats.recovery_replayed_tiles = report.rolled_back_tiles;
+    stats.corrupt_reads = report.corrupt_reads;
+}
+
+/// Drives one durable run: opens the session, runs `cfg`'s walk over
+/// durable store stacks built on `medium`, and seals the report —
+/// journal traffic, checksum failures, and the checksum-sidecar traffic
+/// booked into the ledger's `ChecksumOverhead` channel. The sidecar
+/// figure covers all integrity traffic since the post-seed metrics
+/// reset, including verification of the final dump; sidecar bytes live
 /// outside the conservation law by construction (the data store's own
 /// metrics never see them).
-fn run_durable<R>(
-    medium: &mut dyn DurableMedium,
+#[allow(clippy::too_many_arguments)]
+fn run_durable<C: DurableWalk>(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &C,
     dur: &DurabilityConfig,
+    medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
     resume: bool,
-    ledger: Option<&LedgerRecorder>,
-    walk: impl FnOnce(
-        &mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
-        &mut DurableSession,
-    ) -> io::Result<R>,
-) -> io::Result<Sealed<R>> {
+) -> io::Result<DurableOutcome<C::Run>> {
     let mut session = open_session(medium, dur, resume)?;
     let mut fault_handles = Vec::new();
     let mut checksum_handles = Vec::new();
-    let run = walk(
-        &mut |a, name, len| {
+    let mut run = cfg.walk(WalkArgs {
+        tp,
+        params,
+        init,
+        make: &mut |a, name, len| {
             let (store, fh, ch) = durable_store(medium, a, name, len, dur, faults)?;
             fault_handles.push(fh);
             checksum_handles.push(ch);
             Ok(store)
         },
-        &mut session,
-    )?;
+        session: &mut session,
+    })?;
     let mut report = session.report;
     (report.journal_intents, report.journal_commits) = session.journal.written();
     report.corrupt_reads = checksum_handles
         .iter()
         .map(ChecksumHandle::corrupt_reads)
         .sum();
-    if let Some(rec) = ledger {
+    if let Some(rec) = cfg.ledger() {
         for (a, ch) in checksum_handles.iter().enumerate() {
             let (calls, elems) = ch.sidecar_io();
             rec.add_sidecar(u32::try_from(a).expect("array index"), calls, elems);
         }
     }
-    Ok(Sealed {
+    C::fold(&mut run, &report);
+    Ok(DurableOutcome {
         run,
         report,
         fault_handles,
@@ -884,171 +1079,56 @@ fn run_durable<R>(
     })
 }
 
-/// The sync walk over durable stores, fresh or resumed.
-#[allow(clippy::too_many_arguments)]
-fn durable_functional(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &FunctionalConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    resume: bool,
-) -> io::Result<DurableOutcome> {
-    let out = run_durable(
-        medium,
-        dur,
-        faults,
-        resume,
-        cfg.ledger.as_ref(),
-        |make, s| {
-            let (span, label) = if s.report.resumed {
-                ("resume-functional", "durable-resume")
-            } else {
-                ("run-functional-durable", "durable")
-            };
-            let _span = ooc_trace::span("recovery", span);
-            run_functional_inner(tp, params, init, cfg, make, Some(s), label)
-        },
-    )?;
-    Ok(DurableOutcome {
-        run: out.run,
-        report: out.report,
-        fault_handles: out.fault_handles,
-        checksum_handles: out.checksum_handles,
-    })
-}
-
-/// The `NestRun` engine over durable stores, fresh or resumed, with
-/// the durability counters folded into the merged pipeline stats.
-#[allow(clippy::too_many_arguments)]
-fn durable_nest_run(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    resume: bool,
-    exec: Executor,
-) -> io::Result<ParallelDurableOutcome> {
-    let ledger = cfg.pipeline.functional.ledger.as_ref();
-    let mut out = run_durable(medium, dur, faults, resume, ledger, |make, s| {
-        let span = if s.report.resumed {
-            format!("resume-{}", exec.name)
-        } else {
-            format!("exec-{}-durable", exec.name)
-        };
-        let _span = ooc_trace::span("recovery", &span);
-        exec_parallel_inner(tp, params, init, cfg, make, Some(s), exec)
-    })?;
-    let stats = &mut out.run.pipeline;
-    stats.journal_commits = out.report.journal_commits;
-    stats.recovery_replayed_tiles = out.report.rolled_back_tiles;
-    stats.corrupt_reads = out.report.corrupt_reads;
-    Ok(ParallelDurableOutcome {
-        run: out.run,
-        report: out.report,
-        fault_handles: out.fault_handles,
-        checksum_handles: out.checksum_handles,
-    })
-}
-
-/// A durable parallel outcome at one shard, as its pipelined twin.
-fn pipelined(out: ParallelDurableOutcome) -> PipelinedDurableOutcome {
-    PipelinedDurableOutcome {
-        run: PipelinedRun {
-            run: out.run.run,
-            pipeline: out.run.pipeline,
-        },
-        report: out.report,
-        fault_handles: out.fault_handles,
-        checksum_handles: out.checksum_handles,
-    }
-}
-
 /// Runs a tiled program durably from scratch: truncates the journal
-/// and manifest, seeds the arrays, then executes the synchronous tile
-/// walk with journaled write-back and periodic checkpoints.
+/// and manifest, seeds the arrays, then executes `cfg`'s walk (see
+/// [`DurableWalk`]) with journaled write-back and periodic checkpoints.
 /// `faults(a)` optionally fault-wraps array `a`'s data store (under
 /// the checksum layer) — crash modes return a typed non-transient
 /// error; [`resume_functional`] picks the run back up.
 ///
+/// - The sync walk ([`FunctionalConfig`]) writes back inline through
+///   the journal and checkpoints every `checkpoint_rows` tile rows and
+///   at iteration and nest ends.
+/// - The `NestRun` engine ([`PipelineConfig`] at one shard,
+///   [`ParallelConfig`] at `shards`) journals each tile's intent in its
+///   write-behind sink, and a [`DurabilityFence`] commits it before the
+///   tile settles. Every shard worker journals against the shared
+///   session and commits through its own fence. Multi-shard nests
+///   checkpoint at iteration barriers after all queues flush;
+///   serial-path nests checkpoint at tile rows.
+///
 /// # Errors
-/// Propagates store/journal I/O errors, including injected crashes
-/// (check with [`ooc_runtime::is_crashed`]).
+/// Propagates store/journal I/O errors, including injected crashes —
+/// from any shard (check with [`ooc_runtime::is_crashed`]).
 ///
 /// # Panics
 /// Panics on internal inconsistencies (compiler bugs), like
 /// [`run_functional_on`](crate::exec::run_functional_on).
-pub fn run_functional_durable(
+pub fn run_functional_durable<C: DurableWalk>(
     tp: &TiledProgram,
     params: &[i64],
     init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &FunctionalConfig,
+    cfg: &C,
     dur: &DurabilityConfig,
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<DurableOutcome> {
-    durable_functional(tp, params, init, cfg, dur, medium, faults, false)
+) -> io::Result<DurableOutcome<C::Run>> {
+    run_durable(tp, params, init, cfg, dur, medium, faults, false)
 }
 
 /// Resumes a crashed durable run: scans the manifest for the last
 /// consistent boundary, rolls back every journal intent at or past its
 /// watermark (restoring pre-images, which also heals torn checksums),
-/// and restarts the tile walk from the boundary. With no manifest
+/// and restarts `cfg`'s walk from the boundary. With no manifest
 /// boundary (crash before seeding completed) the run restarts from
 /// scratch. The recovered result is bit-equal to an uninterrupted run.
 ///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes on
-/// a re-crashed resume.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn resume_functional(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &FunctionalConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<DurableOutcome> {
-    durable_functional(tp, params, init, cfg, dur, medium, faults, true)
-}
-
-/// [`run_functional_durable`]'s pipelined sibling: the asynchronous
-/// tile pipeline with journaled write-back (the write-behind sink
-/// journals each tile's intent and a [`DurabilityFence`] commits it
-/// before the tile settles), checkpoints at tile-row / iteration /
-/// nest boundaries, and crash recovery via [`resume_pipelined`].
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn exec_pipelined_durable(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<PipelinedDurableOutcome> {
-    let cfg = one_shard(cfg);
-    durable_nest_run(
-        tp, params, init, &cfg, dur, medium, faults, false, PIPELINED,
-    )
-    .map(pipelined)
-}
-
-/// Resumes a crashed durable *pipelined* run from its last consistent
-/// checkpoint boundary, exactly like [`resume_functional`].
+/// Boundaries are serial-schedule watermarks (tile rows, iteration
+/// barriers, nest ends), so a parallel run resumed at any shard count
+/// still replays at most one checkpoint interval per array. Resume is
+/// an explicit call, never automatic: a [`DirMedium`] reopens existing
+/// files, so an automatic resume could continue another program's
+/// state.
 ///
 /// # Errors
 /// Propagates store/journal I/O errors, including injected crashes on
@@ -1056,65 +1136,16 @@ pub fn exec_pipelined_durable(
 ///
 /// # Panics
 /// Panics on internal inconsistencies (compiler bugs).
-pub fn resume_pipelined(
+pub fn resume_functional<C: DurableWalk>(
     tp: &TiledProgram,
     params: &[i64],
     init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
+    cfg: &C,
     dur: &DurabilityConfig,
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<PipelinedDurableOutcome> {
-    let cfg = one_shard(cfg);
-    durable_nest_run(tp, params, init, &cfg, dur, medium, faults, true, PIPELINED).map(pipelined)
-}
-
-/// [`exec_pipelined_durable`]'s parallel sibling: every shard worker's
-/// write path journals intents against the shared session and commits
-/// them through its own fence; multi-shard nests checkpoint at
-/// iteration barriers after all queues flush, serial-fallback nests at
-/// tile-row boundaries. Crash recovery via [`resume_parallel`].
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes —
-/// from any shard.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn exec_parallel_durable(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<ParallelDurableOutcome> {
-    durable_nest_run(tp, params, init, cfg, dur, medium, faults, false, PARALLEL)
-}
-
-/// Resumes a crashed durable *parallel* run from its last consistent
-/// checkpoint boundary. Boundaries are serial-schedule watermarks
-/// (iteration barriers, or tile rows of serial-fallback nests), so the
-/// resumed run — at any worker count — replays at most one checkpoint
-/// interval per array and lands bit-equal to an uninterrupted run.
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes on
-/// a re-crashed resume.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn resume_parallel(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<ParallelDurableOutcome> {
-    durable_nest_run(tp, params, init, cfg, dur, medium, faults, true, PARALLEL)
+) -> io::Result<DurableOutcome<C::Run>> {
+    run_durable(tp, params, init, cfg, dur, medium, faults, true)
 }
 
 /// A [`DurableMedium`] whose per-array **data** stores are striped
@@ -1142,9 +1173,8 @@ pub struct StripedMedium {
     pool: IoNodePool,
     mode: DegradedMode,
     data: BTreeMap<usize, SharedStore<StripedStore<MemStore>>>,
-    sidecars: BTreeMap<usize, SharedStore<MemStore>>,
-    journal: MemLog,
-    manifest: MemLog,
+    /// Sidecars, journal and manifest, off the striped pool.
+    meta: MemMedium,
     ledger: Option<LedgerRecorder>,
 }
 
@@ -1169,9 +1199,7 @@ impl StripedMedium {
             pool: IoNodePool::with_faults(cfg, faults),
             mode: DegradedMode::Manual,
             data: BTreeMap::new(),
-            sidecars: BTreeMap::new(),
-            journal: MemLog::new(),
-            manifest: MemLog::new(),
+            meta: MemMedium::new(),
             ledger: None,
         }
     }
@@ -1228,13 +1256,13 @@ impl StripedMedium {
     /// The raw journal bytes (test plumbing).
     #[must_use]
     pub fn journal_bytes(&self) -> Vec<u8> {
-        self.journal.snapshot()
+        self.meta.journal_bytes()
     }
 
     /// The raw manifest bytes (test plumbing).
     #[must_use]
     pub fn manifest_bytes(&self) -> Vec<u8> {
-        self.manifest.snapshot()
+        self.meta.manifest_bytes()
     }
 }
 
@@ -1268,21 +1296,16 @@ impl DurableMedium for StripedMedium {
         Ok(Box::new(shared))
     }
 
-    fn sidecar(&mut self, a: usize, _name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
-        let s = self
-            .sidecars
-            .entry(a)
-            .or_insert_with(|| SharedStore::new(MemStore::new(len)))
-            .clone();
-        Ok(Box::new(s))
+    fn sidecar(&mut self, a: usize, name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
+        self.meta.sidecar(a, name, len)
     }
 
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>> {
-        Ok(Box::new(self.journal.clone()))
+        self.meta.journal()
     }
 
     fn manifest(&mut self) -> io::Result<Box<dyn LogStore>> {
-        Ok(Box::new(self.manifest.clone()))
+        self.meta.manifest()
     }
 }
 
@@ -1337,7 +1360,7 @@ impl NodeLossReport {
 #[derive(Debug)]
 pub struct NodeLossOutcome {
     /// The completed (possibly resumed) durable parallel run.
-    pub outcome: ParallelDurableOutcome,
+    pub outcome: DurableOutcome<ParallelRun>,
     /// Node losses, resumes, and repair traffic.
     pub loss: NodeLossReport,
 }
@@ -1377,7 +1400,7 @@ pub fn run_parallel_surviving_node_loss(
 ) -> io::Result<NodeLossOutcome> {
     let _span = ooc_trace::span("recovery", "survive-node-loss");
     let mut loss = NodeLossReport::default();
-    let mut attempt = exec_parallel_durable(tp, params, init, cfg, dur, medium, &|_| None);
+    let mut attempt = run_functional_durable(tp, params, init, cfg, dur, medium, &|_| None);
     // One discovery per node is the most a single-fault-per-group
     // schedule can produce; more means we are wedged, not degraded.
     for _ in 0..=medium.pool().nodes() {
@@ -1430,7 +1453,7 @@ pub fn run_parallel_surviving_node_loss(
                         .detail("call", call.to_string()),
                     );
                 }
-                attempt = resume_parallel(tp, params, init, cfg, dur, medium, &|_| None);
+                attempt = resume_functional(tp, params, init, cfg, dur, medium, &|_| None);
             }
         }
     }
@@ -1776,7 +1799,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let mut medium = MemMedium::new();
-        let err = exec_pipelined_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|a| {
+        let err = run_functional_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|a| {
             (a == 0).then(|| FaultConfig::crash_at(25))
         })
         .expect_err("crash injected");
@@ -1791,7 +1814,7 @@ mod tests {
             .expect("manifest log")
             .append(b"K 7")
             .expect("torn manifest tail");
-        let out = resume_pipelined(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
+        let out = resume_functional(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
             .expect("pipelined resume");
         assert_eq!(out.run.run.data, expected);
         assert!(out.report.torn_tail);
@@ -1814,7 +1837,7 @@ mod tests {
 
         let mut medium = MemMedium::new();
         let fresh =
-            exec_pipelined_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
+            run_functional_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
                 .expect("fresh pipelined durable");
         assert_eq!(fresh.run.run.data, expected);
         assert!(fresh.report.journal_commits > 0);
@@ -1827,12 +1850,12 @@ mod tests {
         // recover. (Thread interleaving makes the exact crash site
         // nondeterministic; recovery must work regardless.)
         let mut medium = MemMedium::new();
-        let err = exec_pipelined_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|a| {
+        let err = run_functional_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|a| {
             (a == 0).then(|| FaultConfig::crash_at(25))
         })
         .expect_err("crash injected");
         assert!(is_crashed(&err), "unexpected error: {err}");
-        let out = resume_pipelined(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
+        let out = resume_functional(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
             .expect("pipelined resume");
         assert_eq!(out.run.run.data, expected);
         assert!(out.report.resumed);

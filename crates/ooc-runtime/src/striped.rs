@@ -2257,6 +2257,14 @@ mod tests {
                 .expect("read");
             assert!(bits_equal(&buf, &data));
         }
+        // The walker checks the stop flag only between groups, so once
+        // it has issued a scrub read, the group it is in is counted.
+        // Wait (bounded) for that first read before stopping it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while p.total_repair().get(IoCause::ScrubRead).read_calls == 0 && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let rep = scrubber.stop().expect("scrubber result");
         assert!(rep.groups > 0, "walker visited groups");
         assert_eq!(rep.unrecoverable, 0);

@@ -581,6 +581,9 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_cheap() {
+        // Hold the session install lock: no other test's session can
+        // be live meanwhile, and these no-op emits cannot land in one.
+        let _exclusive = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!enabled());
         // Emitters are no-ops without a session.
         let _s = span("compiler", "nothing");

@@ -9,10 +9,7 @@
 //! `(nest, step, watermark)` points, so any executor refactor must
 //! reproduce them byte for byte.
 
-use ooc_opt::core::recovery::{
-    exec_parallel_durable, exec_pipelined_durable, run_functional_durable, DurabilityConfig,
-    MemMedium,
-};
+use ooc_opt::core::recovery::{run_functional_durable, DurabilityConfig, MemMedium};
 use ooc_opt::core::tiling::{TiledProgram, TilingStrategy};
 use ooc_opt::core::{optimize, FunctionalConfig, OptimizeOptions, ParallelConfig, PipelineConfig};
 use ooc_opt::ir::{ArrayId, ArrayRef, Expr, LoopNest, Program, Statement};
@@ -101,7 +98,7 @@ fn protocol(tp: &TiledProgram, params: &[i64], shape: Shape) -> (String, u64, u6
                 Shape::PipelinedNoWorkers => pipeline(0, 0, false),
                 _ => pipeline(1, 2, true),
             };
-            let out = exec_pipelined_durable(tp, params, &seed, &cfg, &dur, &mut medium, &|_| None)
+            let out = run_functional_durable(tp, params, &seed, &cfg, &dur, &mut medium, &|_| None)
                 .expect("pipelined durable run");
             (out.report.journal_intents, out.report.journal_commits)
         }
@@ -110,7 +107,7 @@ fn protocol(tp: &TiledProgram, params: &[i64], shape: Shape) -> (String, u64, u6
                 pipeline: pipeline(1, 2, true),
                 shards: 2,
             };
-            let out = exec_parallel_durable(tp, params, &seed, &cfg, &dur, &mut medium, &|_| None)
+            let out = run_functional_durable(tp, params, &seed, &cfg, &dur, &mut medium, &|_| None)
                 .expect("parallel durable run");
             (out.report.journal_intents, out.report.journal_commits)
         }

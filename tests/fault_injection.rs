@@ -4,9 +4,10 @@
 //! run.
 
 use ooc_opt::core::{
-    exec_parallel_durable, max_intents_per_interval, parse_manifest, resume_functional,
-    resume_parallel, run_functional, run_functional_durable, run_functional_on, DirMedium,
-    DurabilityConfig, DurableMedium, FunctionalConfig, MemMedium, ParallelConfig, PipelineConfig,
+    max_intents_per_interval, parse_manifest, resume_functional, run_functional,
+    run_functional_durable, run_functional_on, DirMedium, DurabilityConfig, DurableMedium,
+    DurableWalk, FunctionalConfig, FunctionalRun, MemMedium, ParallelConfig, ParallelRun,
+    PipelineConfig, PipelinedRun,
 };
 use ooc_opt::ir::ArrayId;
 use ooc_opt::kernels::{all_kernels, compile, kernel_by_name, Version};
@@ -176,14 +177,20 @@ fn without_retries_faults_are_fatal() {
 /// How many evenly-spaced crash points the matrix drills per kernel.
 const CRASH_POINTS: u64 = 3;
 
-/// The crash matrix body for one storage backend: every kernel's
-/// c-opt version, killed at `CRASH_POINTS` evenly-spaced store-call
-/// indices of its busiest array (alternating clean crashes and torn
-/// writes), then recovered — the recovered contents must be bit-equal
-/// to an uninterrupted run, and the rollback must stay within one
-/// checkpoint interval of journal intents per array.
-fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedium>) {
-    let fcfg = FunctionalConfig::with_fraction(16);
+/// The crash matrix for one walk config and storage backend: every
+/// kernel's c-opt version, killed at `CRASH_POINTS` evenly-spaced
+/// store-call indices of its busiest array (alternating clean crashes
+/// and torn writes), then resumed with the same config. The recovered
+/// contents must be bit-equal to an uninterrupted run, and the rollback
+/// must stay within one checkpoint interval of journal intents per
+/// array. The bound comes from the uninterrupted run's own journal, so
+/// each walk is held to its own checkpoint placement (multi-shard
+/// nests checkpoint at iteration barriers, wider than tile rows).
+fn crash_matrix<C: DurableWalk>(
+    cfg: &C,
+    data: impl Fn(&C::Run) -> &[Vec<f64>],
+    make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedium>,
+) {
     let dur = DurabilityConfig::default();
     for k in all_kernels() {
         let cv = compile(&k, Version::COpt);
@@ -197,7 +204,7 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
             &cv.tiled,
             &k.small_params,
             &seed,
-            &fcfg,
+            cfg,
             &dur,
             &mut base,
             &|_| Some(FaultConfig::transient(17, 0)),
@@ -222,7 +229,7 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
                 &cv.tiled,
                 &k.small_params,
                 &seed,
-                &fcfg,
+                cfg,
                 &dur,
                 medium.as_mut(),
                 &|a| {
@@ -242,7 +249,7 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
                 &cv.tiled,
                 &k.small_params,
                 &seed,
-                &fcfg,
+                cfg,
                 &dur,
                 medium.as_mut(),
                 &|_| None,
@@ -250,7 +257,8 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
             .unwrap_or_else(|e| panic!("{}: resume after crash at {at}: {e}", k.name));
             assert!(out.report.resumed, "{}: recovery must resume", k.name);
             assert_eq!(
-                out.run.data, baseline.run.data,
+                data(&out.run),
+                data(&baseline.run),
                 "{}: recovered run diverges from the uninterrupted one \
                  (crash at {at}, torn {torn})",
                 k.name
@@ -268,115 +276,60 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
     }
 }
 
-#[test]
-fn crash_matrix_recovers_every_kernel_in_memory() {
-    crash_matrix_on(&mut |_, _| Box::new(MemMedium::new()));
+fn mem_medium(_: &str, _: u64) -> Box<dyn DurableMedium> {
+    Box::new(MemMedium::new())
 }
 
-/// The crash matrix for the *parallel* durable executor: every kernel
-/// crashed mid-run at several store-call indices (clean and torn) with
-/// three shard workers, then resumed — still with three workers. The
-/// recovered contents must be bit-equal to an uninterrupted parallel
-/// run, and the rollback must stay within the one-checkpoint-interval
-/// intent bound derived from the parallel baseline's own journal
-/// (multi-shard nests checkpoint at iteration barriers, so their
-/// intervals are wider than the serial executor's tile rows).
-#[test]
-fn parallel_crash_matrix_recovers_every_kernel() {
-    let cfg = ParallelConfig {
-        pipeline: PipelineConfig {
-            functional: FunctionalConfig::with_fraction(16),
-            ..PipelineConfig::default()
-        },
-        shards: 3,
-    };
-    let dur = DurabilityConfig::default();
-    for k in all_kernels() {
-        let cv = compile(&k, Version::COpt);
-
-        let mut base = MemMedium::new();
-        let baseline = exec_parallel_durable(
-            &cv.tiled,
-            &k.small_params,
-            &seed,
-            &cfg,
-            &dur,
-            &mut base,
-            &|_| Some(FaultConfig::transient(17, 0)),
-        )
-        .expect("baseline parallel durable run");
-        let calls: Vec<u64> = baseline
-            .fault_handles
-            .iter()
-            .map(|h| h.as_ref().expect("wrapped").calls())
-            .collect();
-        let target = (0..calls.len()).max_by_key(|&a| calls[a]).expect("arrays");
-        let bound = max_intents_per_interval(
-            &parse_journal(&base.journal_bytes()),
-            &parse_manifest(&base.manifest_bytes()).watermarks(),
-        );
-
-        for i in 1..=CRASH_POINTS {
-            let at = calls[target] * i / (CRASH_POINTS + 1);
-            let torn = i % 2 == 0;
-            let mut medium = MemMedium::new();
-            let err = exec_parallel_durable(
-                &cv.tiled,
-                &k.small_params,
-                &seed,
-                &cfg,
-                &dur,
-                &mut medium,
-                &|a| {
-                    (a == target).then(|| {
-                        if torn {
-                            FaultConfig::torn_write(at, 500)
-                        } else {
-                            FaultConfig::crash_at(at)
-                        }
-                    })
-                },
-            )
-            .expect_err("injected crash must abort the parallel run");
-            assert!(is_crashed(&err), "{}: unexpected error: {err}", k.name);
-
-            let out = resume_parallel(
-                &cv.tiled,
-                &k.small_params,
-                &seed,
-                &cfg,
-                &dur,
-                &mut medium,
-                &|_| None,
-            )
-            .unwrap_or_else(|e| panic!("{}: parallel resume after crash at {at}: {e}", k.name));
-            assert!(out.report.resumed, "{}: recovery must resume", k.name);
-            assert_eq!(
-                out.run.run.data, baseline.run.run.data,
-                "{}: recovered parallel run diverges from the uninterrupted \
-                 one (crash at {at}, torn {torn})",
-                k.name
-            );
-            for (a, n) in &out.report.rolled_back_by_array {
-                assert!(
-                    *n <= bound.get(a).copied().unwrap_or(0),
-                    "{}: rolled back {n} tiles of array {a}, over the \
-                     one-checkpoint-interval bound {:?}",
-                    k.name,
-                    bound.get(a)
-                );
-            }
-        }
+fn pipeline_cfg() -> PipelineConfig {
+    PipelineConfig {
+        functional: FunctionalConfig::with_fraction(16),
+        ..PipelineConfig::default()
     }
+}
+
+#[test]
+fn crash_matrix_recovers_every_kernel_in_memory() {
+    crash_matrix(
+        &FunctionalConfig::with_fraction(16),
+        |r: &FunctionalRun| &r.data,
+        &mut mem_medium,
+    );
 }
 
 #[test]
 fn crash_matrix_recovers_every_kernel_on_files() {
     let mut dirs: Vec<TempDir> = Vec::new();
-    crash_matrix_on(&mut |kernel, i| {
-        let dir = TempDir::new(&format!("crash-{kernel}-{i}")).expect("tmp dir");
-        let medium = Box::new(DirMedium::new(dir.path()));
-        dirs.push(dir); // keep the directory alive for the resume
-        medium
-    });
+    crash_matrix(
+        &FunctionalConfig::with_fraction(16),
+        |r: &FunctionalRun| &r.data,
+        &mut |kernel, i| {
+            let dir = TempDir::new(&format!("crash-{kernel}-{i}")).expect("tmp dir");
+            let medium = Box::new(DirMedium::new(dir.path()));
+            dirs.push(dir); // keep the directory alive for the resume
+            medium
+        },
+    );
+}
+
+/// The crash matrix for the pipelined durable walk: the `NestRun`
+/// engine at one shard, with prefetch workers and write-behind
+/// journaling through the durability fence.
+#[test]
+fn pipelined_crash_matrix_recovers_every_kernel() {
+    crash_matrix(
+        &pipeline_cfg(),
+        |r: &PipelinedRun| &r.run.data,
+        &mut mem_medium,
+    );
+}
+
+/// The crash matrix for the parallel durable walk with three shard
+/// workers, crashed and resumed at three shards.
+#[test]
+fn parallel_crash_matrix_recovers_every_kernel() {
+    let cfg = ParallelConfig {
+        pipeline: pipeline_cfg(),
+        shards: 3,
+    };
+    crash_matrix(&cfg, |r: &ParallelRun| &r.run.data, &mut mem_medium);
 }
