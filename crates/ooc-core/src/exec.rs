@@ -5,7 +5,9 @@
 //! * **Functional** ([`run_functional`]): actually stages tiles
 //!   through `ooc-runtime` arrays and computes element values — used
 //!   at small sizes to prove transformed+tiled code equals the
-//!   reference interpreter bit for bit. This is the *sync walk*; with
+//!   reference interpreter bit for bit. Each tile box is computed by
+//!   the nest's compiled kernel (`NestKernel`, lowered once per run
+//!   in the `kernel` module). This is the *sync walk*; with
 //!   a durable session attached it also journals and checkpoints (see
 //!   [`crate::recovery`]). The repo's other tile walk, the `NestRun`
 //!   engine behind the pipelined and parallel executors, lives in
@@ -23,11 +25,10 @@
 //! polyhedron restricted to the tile); for the affine kernels of the
 //! paper every transformed nest is rectangular, making the walk exact.
 
+use crate::kernel::{NestKernel, Staging};
 use crate::recovery::{journaled_write, record_journal_write, DurableSession};
-use crate::tiling::{
-    access_classes, array_region, class_region, plan_spans, IoWeights, TiledProgram,
-};
-use ooc_ir::{ArrayId, Expr, GuardAt, LoopNest, Statement};
+use crate::tiling::{class_region, plan_spans, IoWeights, TiledProgram};
+use ooc_ir::{ArrayId, Expr, LoopNest, Statement};
 use ooc_runtime::{
     AccessRecord, EvictDetail, InterleavedGroup, IoCause, IoStats, LedgerEvent, LedgerRecorder,
     MeasuredIo, MemStore, MemoryBudget, OocArray, ProfilingStore, Region, RuntimeConfig,
@@ -816,9 +817,10 @@ pub(crate) fn run_functional_inner<S: Store>(
         }
         // Staging plan: one tile per (array, access class); written
         // arrays touched through several classes fall back to a single
-        // hull tile so every read sees the freshest values.
+        // hull tile so every read sees the freshest values. The kernel
+        // computes each tile box over the staged tiles.
         let staging = Staging::for_nest(nest);
-        let bounds = nest.bounds.loop_bounds();
+        let kernel = NestKernel::lower(nest, &staging, params);
         let start_g = dur.as_ref().map_or(0, |d| d.start_step(ni));
         let mut g: u64 = 0;
         let mut rows_done: u64 = 0;
@@ -828,7 +830,7 @@ pub(crate) fn run_functional_inner<S: Store>(
         // disabled path stays a single atomic load per tile step).
         let _nest_span = ooc_trace::span("runtime", &format!("nest:{}", nest.name));
         for _ in 0..nest.iterations {
-            let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
+            let mut tiles: Vec<Option<Tile>> = (0..staging.len()).map(|_| None).collect();
             let mut last_row_lo: Option<i64> = None;
             let mut step = |lo: &[i64], hi: &[i64]| -> io::Result<()> {
                 // Row accounting must precede the resume skip so that
@@ -864,22 +866,19 @@ pub(crate) fn run_functional_inner<S: Store>(
                         ],
                     )
                 });
-                for ((a, slot), region) in staging.regions(nest, lo, hi) {
+                for (slot, region) in staging.regions(nest, lo, hi) {
+                    let a = staging.key(slot).0;
                     let region = region.clamped(io.arrays[a.0].dims());
-                    let key = (a, slot);
-                    if tiles.get(&key).is_none_or(|t| t.region() != &region) {
-                        if let Some(old) = tiles.remove(&key) {
-                            io.retire(key, old, &staging, ni, base + g)?;
+                    if tiles[slot].as_ref().is_none_or(|t| t.region() != &region) {
+                        if let Some(old) = tiles[slot].take() {
+                            io.retire(&staging, slot, old, ni, base + g)?;
                         }
-                        tiles.insert(key, io.read(a, &region, ni, base + g)?);
+                        tiles[slot] = Some(io.read(a, &region, ni, base + g)?);
                     }
                 }
                 // Element loops: every polyhedron point inside the box.
                 let _compute_span = traced.then(|| ooc_trace::span("runtime", "compute"));
-                let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
-                exec_box(
-                    nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
-                );
+                kernel.run(lo, hi, &mut tiles);
                 if let Some(d) = dur.as_deref_mut() {
                     d.report.executed_steps += 1;
                 }
@@ -995,14 +994,15 @@ impl<S: Store> SyncIo<'_, S> {
     /// ledger as [`IoCause::ReplayRead`].
     fn retire(
         &mut self,
-        (a, slot): (ArrayId, usize),
-        tile: Tile,
         staging: &Staging,
+        slot: usize,
+        tile: Tile,
         nest: usize,
         step: u64,
     ) -> io::Result<()> {
+        let a = staging.key(slot).0;
         let region = tile.region();
-        if staging.slot_written(a, slot) {
+        if staging.is_written(slot) {
             let arr = &mut self.arrays[a.0];
             let _s = ooc_trace::enabled()
                 .then(|| ooc_trace::span("runtime", &format!("write-tile:{}", arr.name())));
@@ -1029,186 +1029,18 @@ impl<S: Store> SyncIo<'_, S> {
     /// Retires every staged tile (iteration barrier or checkpoint).
     fn flush(
         &mut self,
-        tiles: &mut BTreeMap<(ArrayId, usize), Tile>,
+        tiles: &mut [Option<Tile>],
         staging: &Staging,
         nest: usize,
         step: u64,
     ) -> io::Result<()> {
-        for (key, tile) in std::mem::take(tiles) {
-            self.retire(key, tile, staging, nest, step)?;
+        for (slot, tile) in tiles.iter_mut().enumerate() {
+            if let Some(tile) = tile.take() {
+                self.retire(staging, slot, tile, nest, step)?;
+            }
         }
         Ok(())
     }
-}
-
-/// The functional staging plan of one nest: which tile slot each
-/// reference reads/writes.
-pub(crate) struct Staging {
-    /// Per array: `None` = hull mode (single slot 0); `Some(classes)` =
-    /// one slot per access class.
-    plan: BTreeMap<ArrayId, Option<Vec<ooc_linalg::Matrix>>>,
-    /// Arrays written by the nest.
-    written: Vec<ArrayId>,
-    /// Per (array, slot): whether the slot receives writes.
-    written_slots: BTreeMap<(ArrayId, usize), bool>,
-}
-
-impl Staging {
-    pub(crate) fn for_nest(nest: &LoopNest) -> Self {
-        let (mut touched, writes) = rw_arrays(nest);
-        for w in &writes {
-            if !touched.contains(w) {
-                touched.push(*w);
-            }
-        }
-        let mut plan = BTreeMap::new();
-        let mut written_slots = BTreeMap::new();
-        for a in touched {
-            let classes = access_classes(nest, a);
-            if writes.contains(&a) && classes.len() > 1 {
-                plan.insert(a, None);
-                written_slots.insert((a, 0usize), true);
-            } else {
-                for (i, class) in classes.iter().enumerate() {
-                    let w = nest
-                        .body
-                        .iter()
-                        .any(|st| st.lhs.array == a && st.lhs.access == *class);
-                    written_slots.insert((a, i), w);
-                }
-                plan.insert(a, Some(classes));
-            }
-        }
-        Staging {
-            plan,
-            written: writes,
-            written_slots,
-        }
-    }
-
-    fn slot_of(&self, r: &ooc_ir::ArrayRef) -> (ArrayId, usize) {
-        match self.plan.get(&r.array) {
-            Some(None) => (r.array, 0),
-            Some(Some(classes)) => {
-                let i = classes
-                    .iter()
-                    .position(|c| *c == r.access)
-                    .expect("reference class staged");
-                (r.array, i)
-            }
-            None => unreachable!("untouched array referenced"),
-        }
-    }
-
-    pub(crate) fn slot_written(&self, a: ArrayId, slot: usize) -> bool {
-        self.written_slots.get(&(a, slot)).copied().unwrap_or(false)
-            || (self.plan.get(&a) == Some(&None) && self.written.contains(&a))
-    }
-
-    /// All (slot key, region) pairs to stage for a tile box.
-    pub(crate) fn regions(
-        &self,
-        nest: &LoopNest,
-        lo: &[i64],
-        hi: &[i64],
-    ) -> Vec<((ArrayId, usize), Region)> {
-        let mut out = Vec::new();
-        for (&a, classes) in &self.plan {
-            match classes {
-                None => {
-                    if let Some(region) = array_region(nest, a, lo, hi) {
-                        out.push(((a, 0), region));
-                    }
-                }
-                Some(classes) => {
-                    for (i, class) in classes.iter().enumerate() {
-                        if let Some(region) = class_region(nest, a, class, lo, hi) {
-                            out.push(((a, i), region));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Recursive element-loop execution within a tile box.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_box(
-    nest: &LoopNest,
-    bounds: &[ooc_linalg::LoopBounds],
-    params: &[i64],
-    box_lo: &[i64],
-    box_hi: &[i64],
-    iter: &mut Vec<i64>,
-    tiles: &mut BTreeMap<(ArrayId, usize), Tile>,
-    staging: &Staging,
-) {
-    let level = iter.len();
-    if level == nest.depth {
-        for stmt in &nest.body {
-            if guards_hold(stmt, bounds, params, iter) {
-                let v = eval_expr(&stmt.rhs, iter, tiles, staging);
-                let subs = stmt.lhs.subscripts(iter);
-                let key = staging.slot_of(&stmt.lhs);
-                tiles.get_mut(&key).expect("lhs tile staged").set(&subs, v);
-            }
-        }
-        return;
-    }
-    let Some((lo, hi)) = bounds[level].eval(iter, params) else {
-        return;
-    };
-    let (lo, hi) = (lo.max(box_lo[level]), hi.min(box_hi[level]));
-    for v in lo..=hi {
-        iter.push(v);
-        exec_box(nest, bounds, params, box_lo, box_hi, iter, tiles, staging);
-        iter.pop();
-    }
-}
-
-fn eval_expr(
-    e: &Expr,
-    iter: &[i64],
-    tiles: &BTreeMap<(ArrayId, usize), Tile>,
-    staging: &Staging,
-) -> f64 {
-    match e {
-        Expr::Const(c) => *c,
-        Expr::Ref(r) => {
-            let subs = r.subscripts(iter);
-            tiles
-                .get(&staging.slot_of(r))
-                .expect("read tile staged")
-                .get(&subs)
-        }
-        Expr::Add(a, b) => eval_expr(a, iter, tiles, staging) + eval_expr(b, iter, tiles, staging),
-        Expr::Sub(a, b) => eval_expr(a, iter, tiles, staging) - eval_expr(b, iter, tiles, staging),
-        Expr::Mul(a, b) => eval_expr(a, iter, tiles, staging) * eval_expr(b, iter, tiles, staging),
-        Expr::Div(a, b) => eval_expr(a, iter, tiles, staging) / eval_expr(b, iter, tiles, staging),
-    }
-}
-
-/// Code-sinking guards: the statement runs only at the first/last
-/// iteration of the guarded level **of the whole loop**, not of the
-/// tile — matching the untiled semantics.
-fn guards_hold(
-    stmt: &Statement,
-    bounds: &[ooc_linalg::LoopBounds],
-    params: &[i64],
-    iter: &[i64],
-) -> bool {
-    stmt.guards.iter().all(|g| {
-        let outer = &iter[..g.var];
-        let Some((lo, hi)) = bounds[g.var].eval(outer, params) else {
-            return false;
-        };
-        match g.at {
-            GuardAt::LowerBound => iter[g.var] == lo,
-            GuardAt::UpperBound => iter[g.var] == hi,
-        }
-    })
 }
 
 /// Convenience: compares a tiled program against the reference

@@ -18,6 +18,9 @@
 //!    innermost loop; plus traditional all-loops tiling for baselines.
 //! 6. [`exec`] — plan execution: functional (real data, small N) and
 //!    simulation (I/O call accounting + `pfs-sim` timing, paper-scale N).
+//!    Functional tile boxes run as compiled kernels: each nest is
+//!    lowered once per run into integer index arithmetic over its
+//!    staged tiles (the crate-private `kernel` module).
 //! 7. [`storage`] — §3.4 storage-requirement reduction for general
 //!    data transformations.
 //! 8. [`global`] — the paper's §5 future work: exact global layout
@@ -71,6 +74,7 @@ pub mod cost;
 pub mod exec;
 pub mod global;
 pub mod interference;
+mod kernel;
 pub mod locality;
 pub mod optimizer;
 pub mod parallel;

@@ -38,9 +38,10 @@
 //! * Shard threads are joined and every write-behind queue is flushed
 //!   before the next nest (or the final dump) reads anything, so
 //!   cross-nest flow sees complete results.
-//! * Each step's compute is byte-identical
-//!   ([`exec_box`](crate::exec) on the same staged tiles in the same
-//!   shard-local order).
+//! * Each step's compute is byte-identical: the nest's compiled
+//!   kernel, lowered once in `plan_nest` and shared read-only by the
+//!   shards, runs on the same staged tiles in the same shard-local
+//!   order, with the same staged-tile checks.
 //!
 //! Analytic **write** I/O is likewise conserved: the steps of the
 //! serial walk are partitioned exactly (every step executes on exactly
@@ -296,7 +297,11 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
             &budget,
             pcfg.functional.runtime.max_call_elems,
         );
-        let Some(NestPlan { staging, schedule }) = plan.filter(|p| p.schedule.total_steps() > 0)
+        let Some(NestPlan {
+            staging,
+            kernel,
+            schedule,
+        }) = plan.filter(|p| p.schedule.total_steps() > 0)
         else {
             if let Some(d) = dur.as_deref_mut().filter(|_| !skip) {
                 d.checkpoint(ni + 1, 0)?;
@@ -327,9 +332,7 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
         }
         let _nest_span = ooc_trace::span(exec.cat, &format!("nest:{}", nest.name));
         let run = |schedule: NestSchedule, start_g: u64| {
-            NestRun::new(
-                ni, nest_base, nest, params, &staging, schedule, start_g, pcfg,
-            )
+            NestRun::new(ni, nest_base, &staging, &kernel, schedule, start_g, pcfg)
         };
 
         if part.serial_fallback || part.active_shards() <= 1 {

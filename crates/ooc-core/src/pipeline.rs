@@ -32,10 +32,13 @@
 //! matters: `wait_clear` before re-staging a region that may overlap
 //! a queued write of the same array, and `flush` at the end of every
 //! nest (before the cache clears and the next nest — or the final
-//! dump — may read anything the nest wrote). Compute itself is
-//! byte-for-byte the synchronous `exec_box` over the same tile
-//! boxes in the same order, so the pipelined result is bit-equal by
-//! construction; the differential suite checks it on every kernel.
+//! dump — may read anything the nest wrote). Compute itself is the
+//! nest's compiled kernel — the one the synchronous walk runs, lowered
+//! once per run in `plan_nest` — over the same tile boxes in the same
+//! order, so the pipelined result is bit-equal by construction; the
+//! differential suite checks it on every kernel. The kernel itself
+//! checks each reference against its staged tile (both ends of every
+//! innermost run; each executed point of a guarded statement).
 //!
 //! Scheduling decisions (issue window, eviction, stall handling) are
 //! driven purely by step counts and deterministic tie-breaks — never
@@ -43,7 +46,8 @@
 //! and runs; thread timing can only move work between the "prefetched"
 //! and "stalled" buckets of [`PipelineStats`].
 
-use crate::exec::{exec_box, level_ranges, walk_tiles, FunctionalConfig, FunctionalRun, Staging};
+use crate::exec::{level_ranges, walk_tiles, FunctionalConfig, FunctionalRun};
+use crate::kernel::{NestKernel, Staging};
 use crate::parallel::{exec_parallel_inner, one_shard, PIPELINED};
 use crate::recovery::{journaled_write, record_journal_write, DurableSession, PendingIntents};
 use crate::tiling::{plan_spans, IoWeights, TiledProgram};
@@ -134,10 +138,12 @@ pub struct PipelinedRun {
     pub pipeline: PipelineStats,
 }
 
-/// One nest's executable plan: the staging layout plus the annotated
-/// schedule.
+/// One nest's executable plan: the staging layout, the kernel lowered
+/// against it, and the annotated schedule. Shards share the staging
+/// and the kernel read-only.
 pub(crate) struct NestPlan {
     pub(crate) staging: Staging,
+    pub(crate) kernel: NestKernel,
     pub(crate) schedule: NestSchedule,
 }
 
@@ -163,6 +169,7 @@ pub(crate) fn plan_nest(
         max_call_elems,
     );
     let staging = Staging::for_nest(nest);
+    let kernel = NestKernel::lower(nest, &staging, params);
     let dims: Vec<Vec<i64>> = tp
         .program
         .arrays
@@ -181,7 +188,8 @@ pub(crate) fn plan_nest(
                 box_hi: hi.to_vec(),
                 ..TileStep::default()
             };
-            for ((a, slot), region) in staging.regions(nest, lo, hi) {
+            for (dense, region) in staging.regions(nest, lo, hi) {
+                let (a, slot) = staging.key(dense);
                 let region = region.clamped(&dims[a.0]);
                 let id = TileId {
                     key: SlotKey {
@@ -190,7 +198,7 @@ pub(crate) fn plan_nest(
                     },
                     region,
                 };
-                if staging.slot_written(a, slot) {
+                if staging.is_written(dense) {
                     step.writes.push(id);
                 } else {
                     step.reads.push(StageRequest::new(id));
@@ -206,7 +214,11 @@ pub(crate) fn plan_nest(
         read_footprint_max: 0,
     };
     annotate_next_use(&mut schedule);
-    Some(NestPlan { staging, schedule })
+    Some(NestPlan {
+        staging,
+        kernel,
+        schedule,
+    })
 }
 
 /// Derives the full tile schedule of a tiled program — the ordered
@@ -587,10 +599,8 @@ pub(crate) struct NestRun<'a> {
     /// Serial steps of all earlier nests: provenance events carry the
     /// run-global step `base + g`.
     base: u64,
-    nest: &'a ooc_ir::LoopNest,
-    bounds: Vec<ooc_linalg::LoopBounds>,
-    params: &'a [i64],
     staging: &'a Staging,
+    kernel: &'a NestKernel,
     schedule: NestSchedule,
     /// Steps per iteration of this run's schedule.
     n: u64,
@@ -613,13 +623,11 @@ impl<'a> NestRun<'a> {
     /// `schedule` (row accounting is a pure function of the step
     /// index, so a resumed run checkpoints at exactly the same steps
     /// as an uninterrupted one).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ni: usize,
         base: u64,
-        nest: &'a ooc_ir::LoopNest,
-        params: &'a [i64],
         staging: &'a Staging,
+        kernel: &'a NestKernel,
         schedule: NestSchedule,
         start_g: u64,
         cfg: &PipelineConfig,
@@ -641,10 +649,8 @@ impl<'a> NestRun<'a> {
         NestRun {
             ni,
             base,
-            nest,
-            bounds: nest.bounds.loop_bounds(),
-            params,
             staging,
+            kernel,
             schedule,
             n,
             start_g,
@@ -751,7 +757,7 @@ impl<'a> NestRun<'a> {
 
         // Stage this step's tiles.
         let step = &self.schedule.steps[s];
-        let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
+        let mut tiles: Vec<Option<Tile>> = (0..self.staging.len()).map(|_| None).collect();
         let mut stalled = false;
         for req in &step.reads {
             let id = &req.tile;
@@ -803,7 +809,7 @@ impl<'a> NestRun<'a> {
                 // failed fetch): read on the main thread.
                 sync_read(w, self.ni, self.base, g, id)?
             };
-            tiles.insert(key, tile);
+            tiles[self.staging.index(key)] = Some(tile);
         }
         if stalled {
             w.stats.stalls += 1;
@@ -857,21 +863,11 @@ impl<'a> NestRun<'a> {
                 .written_tiles
                 .remove(&key)
                 .expect("written tile staged");
-            tiles.insert(key, t);
+            tiles[self.staging.index(key)] = Some(t);
         }
 
-        // Compute — byte-identical to the synchronous executor.
-        let mut iter: Vec<i64> = Vec::with_capacity(self.nest.depth);
-        exec_box(
-            self.nest,
-            &self.bounds,
-            self.params,
-            &step.box_lo,
-            &step.box_hi,
-            &mut iter,
-            &mut tiles,
-            self.staging,
-        );
+        // Compute — the same kernel the synchronous executor runs.
+        self.kernel.run(&step.box_lo, &step.box_hi, &mut tiles);
         match dur.as_deref_mut() {
             Some(d) => d.report.executed_steps += 1,
             None => w.executed_steps += 1,
@@ -882,7 +878,7 @@ impl<'a> NestRun<'a> {
         // tiles never enter the cache).
         for req in &step.reads {
             let key = slot_key_pair(&req.tile);
-            if let Some(t) = tiles.remove(&key) {
+            if let Some(t) = tiles[self.staging.index(key)].take() {
                 let next = self.schedule.absolute_next_use(g, req.next_use_delta);
                 let out = self.cache.insert(req.tile.key, t, false, next);
                 debug_assert!(
@@ -904,7 +900,7 @@ impl<'a> NestRun<'a> {
         }
         for id in &step.writes {
             let key = slot_key_pair(id);
-            if let Some(t) = tiles.remove(&key) {
+            if let Some(t) = tiles[self.staging.index(key)].take() {
                 self.written_tiles.insert(key, t);
             }
         }
